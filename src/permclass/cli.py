@@ -232,6 +232,8 @@ def _cmd_stooge(args) -> int:
             "normalized": perms.format_perm(out),
         }), args.output)
         return EXIT_OK
+    if args.n is None:
+        raise PermclassError("stooge needs --n (L/R/I sets) or --normalize (one permutation)")
     sets = meta.stooge_sets(args.n, K)
     _emit(_json(sets.to_json_dict()), args.output)
     return EXIT_OK
@@ -239,6 +241,10 @@ def _cmd_stooge(args) -> int:
 
 def _cmd_theorem(args) -> int:
     K = relation.parse_partition(args.partition)
+    if args.theorem == "down-jump" and args.perm is None:
+        raise PermclassError("theorem down-jump needs --perm")
+    if args.theorem != "down-jump" and args.k is None:
+        raise PermclassError(f"theorem {args.theorem} needs --k")
     if args.theorem == "avoider-criterion":
         rep = meta.avoider_criterion(K, args.k, check_to=args.check_to)
         _emit(_json(rep.to_json_dict()), args.output)

@@ -273,7 +273,13 @@ def class_of(
     mode: Mode = "factor",
     max_size: int | None = None,
 ) -> set[Perm]:
-    """BFS over transformations from p; no n!-sized allocation."""
+    """The class of p: a BFS over the rewrite targets of relation.rewrites.
+
+    Only the start is validated; the targets are plain tuples (no
+    Transformation records), and no n!-sized array is allocated.  More
+    than ``max_size`` members (default DEFAULT_CLASS_CAP) raise
+    ResourceLimitError.
+    """
     start = perms.as_perm(p)
     cap = max_size if max_size is not None else DEFAULT_CLASS_CAP
     seen = {start}
@@ -281,14 +287,14 @@ def class_of(
     while frontier:
         nxt = []
         for q in frontier:
-            for t in relation.neighbors(q, partition, mode):
-                if t.target not in seen:
-                    seen.add(t.target)
+            for _, _, _, target in relation.rewrites(q, partition, mode):
+                if target not in seen:
+                    seen.add(target)
                     if len(seen) > cap:
                         raise ResourceLimitError(
                             f"class of {perms.format_perm(start)} exceeds cap {cap}"
                         )
-                    nxt.append(t.target)
+                    nxt.append(target)
         frontier = nxt
     return seen
 
@@ -320,6 +326,16 @@ def count_avoiders(n: int, c: int, patterns: Iterable[Perm]) -> int:
         )
     table = kernels_numpy.perm_table(n)
     return kernels_numpy.count_banned_avoiders(n, c, banned, table)
+
+
+def hit_mask(n: int, partition: ReplacementPartition) -> np.ndarray:
+    """(n!, n-c+1) bool over ranks: entry [r, i] is True iff the factor at
+    0-based window i of rank r is a hit (lies in a nontrivial part)."""
+    c = partition.c
+    table = kernels_numpy.perm_table(n)
+    return kernels_numpy.window_hits(
+        n, c, banned_mask(c, partition.nontrivial_patterns), table
+    )
 
 
 def count_trivial(n: int, partition: ReplacementPartition) -> int:

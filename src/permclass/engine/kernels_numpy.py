@@ -138,13 +138,19 @@ def subword_edges(n: int, tab: PatternTables, table: np.ndarray, combs: np.ndarr
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
-def count_banned_avoiders(n: int, c: int, banned: np.ndarray, table: np.ndarray) -> int:
+def window_hits(n: int, c: int, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(n!, n-c+1) bool: hits[r, i] iff the 0-based window i of rank r
+    standardizes to a pattern id marked in mask."""
     cfact = _fact_vec(c)
-    ok = np.ones(len(table), dtype=np.bool_)
+    hits = np.empty((len(table), max(n - c + 1, 0)), dtype=np.bool_)
     for i in range(n - c + 1):
         win = table[:, i : i + c].astype(np.int64)
-        ok &= ~banned[_window_pattern_ids(win, cfact)]
-    return int(ok.sum())
+        hits[:, i] = mask[_window_pattern_ids(win, cfact)]
+    return hits
+
+
+def count_banned_avoiders(n: int, c: int, banned: np.ndarray, table: np.ndarray) -> int:
+    return int((~window_hits(n, c, banned, table).any(axis=1)).sum())
 
 
 def connected_class_ids(total: int, src: np.ndarray, dst: np.ndarray):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from . import perms, relation
+from . import engine, perms, relation
 from .errors import PermclassError
 from .perms import Perm
 
@@ -564,8 +564,8 @@ def _bushy_canonical(p: Perm) -> Perm:
     if n <= 2:
         return p
     if n <= 4:
-        cls = sorted(_bfs_class(p, _BUSHY_K))
-        return cls[0]  # bushy-tailed = lexicographic minimum of its class
+        # bushy-tailed = lexicographic minimum of its class
+        return min(engine.class_of(p, _BUSHY_K))
     cur = p
     while True:
         head = _rearranged(cur[: n - 1], _bushy_canonical(perms.standardize(cur[: n - 1])))
@@ -575,20 +575,6 @@ def _bushy_canonical(p: Perm) -> Perm:
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def _bfs_class(p: Perm, partition: relation.ReplacementPartition) -> set[Perm]:
-    seen = {p}
-    frontier = [p]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for t in relation.neighbors(q, partition):
-                if t.target not in seen:
-                    seen.add(t.target)
-                    nxt.append(t.target)
-        frontier = nxt
-    return seen
 
 
 def root_permutation(p: Sequence[int]) -> Perm:

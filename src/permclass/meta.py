@@ -188,32 +188,46 @@ def adjacent_equals_subword(
     )
 
 
+def _sided_hits(n: int, partition: ReplacementPartition):
+    """Per-rank bool masks (lefted, righted, middled) over S_n.
+
+    Lefted: a hit at a 0-based window i >= 1; righted: i <= n-c-1;
+    middled: both.  Equal to relation.is_lefted / is_righted / is_middled
+    applied to every permutation, from one engine.hit_mask.
+    """
+    hits = engine.hit_mask(n, partition)
+    last = n - partition.c
+    return (
+        hits[:, 1:].any(axis=1),
+        hits[:, :last].any(axis=1),
+        hits[:, 1:last].any(axis=1),
+    )
+
+
 def stooge_sets(n: int, partition: ReplacementPartition) -> StoogeSets:
     """L_n / R_n / I_n: the smallest lefted/righted/middled member of each
-    class that has one."""
+    class that has one.
+
+    The lefted/righted/middled masks come from one hit mask over S_n
+    (engine.hit_mask); since rank order is lexicographic order, the first
+    masked rank of each class is its smallest such member.
+    """
     if n < partition.c + 1:
         raise ValueError(f"stooge sets need n >= c+1 = {partition.c + 1}")
     dec = engine.enumerate_classes(n, partition)
-    best: dict[str, dict[int, Perm]] = {"L": {}, "R": {}, "I": {}}
-    for r in range(len(dec.class_id)):
-        p = perms.unrank(r, n)
-        cid = int(dec.class_id[r])
-        kinds = []
-        if relation.is_lefted(p, partition):
-            kinds.append("L")
-        if relation.is_righted(p, partition):
-            kinds.append("R")
-        if n >= partition.c + 2 and relation.is_middled(p, partition):
-            kinds.append("I")
-        for kind in kinds:
-            if cid not in best[kind]:  # rank order = lexicographic order
-                best[kind][cid] = p
+
+    def firsts(mask: np.ndarray) -> tuple[Perm, ...]:
+        ranks = np.nonzero(mask)[0]
+        first = np.unique(dec.class_id[ranks], return_index=True)[1]
+        return tuple(perms.unrank(int(r), n) for r in np.sort(ranks[first]))
+
+    lefted, righted, middled = _sided_hits(n, partition)
     return StoogeSets(
         n=n,
         partition_text=partition.text(),
-        L=tuple(sorted(best["L"].values())),
-        R=tuple(sorted(best["R"].values())),
-        I=tuple(sorted(best["I"].values())),
+        L=firsts(lefted),
+        R=firsts(righted),
+        I=firsts(middled),
     )
 
 
@@ -277,10 +291,6 @@ def stooge_normalize(
 def middled_reachability(n: int, partition: ReplacementPartition) -> bool:
     """Every nontrivial class contains a middled permutation (engine check)."""
     dec = engine.enumerate_classes(n, partition)
-    has_middled = np.zeros(dec.num_classes, dtype=bool)
-    for r in range(len(dec.class_id)):
-        p = perms.unrank(r, n)
-        if relation.is_middled(p, partition):
-            has_middled[dec.class_id[r]] = True
-    nontrivial = dec.class_sizes > 1
-    return bool(has_middled[nontrivial].all())
+    middled = _sided_hits(n, partition)[2]
+    has_middled = np.bincount(dec.class_id[middled], minlength=dec.num_classes) > 0
+    return bool(has_middled[dec.class_sizes > 1].all())

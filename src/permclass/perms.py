@@ -159,11 +159,10 @@ def parse_perm(text: str) -> Perm:
     s = text.strip()
     if not s:
         raise InvalidWordError("empty permutation text")
-    if "," in s:
-        return as_perm(int(t) for t in s.split(","))
-    if not s.isdigit():
+    tokens = [t.strip() for t in s.split(",")] if "," in s else list(s)
+    if not all(t.isdecimal() for t in tokens):
         raise InvalidWordError(f"not a permutation literal: {text!r}")
-    return as_perm(int(ch) for ch in s)
+    return as_perm(int(t) for t in tokens)
 
 
 def format_perm(p: Sequence[int]) -> str:

@@ -23,7 +23,8 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Literal, Sequence
 
 from . import perms
 from .errors import PartitionParseError
@@ -234,44 +235,90 @@ def _rewrite(p: Sequence[int], idx: Sequence[int], target: Perm) -> Perm:
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _mate_orders(
+    partition: ReplacementPartition,
+) -> dict[tuple[int, ...], tuple[Perm, tuple[tuple[Perm, tuple[int, ...]], ...]]]:
+    """Rewrite recipes keyed by a hit's argsort.
+
+    The argsort of a window (its 0-based positions in increasing letter
+    order) is the inverse of its pattern, so it identifies the pattern
+    without standardizing.  Each entry is (pattern, ((mate, order), ...)):
+    the window rewritten to ``mate`` is ``tuple(window[o] for o in order)``.
+    """
+    out = {}
+    for part in partition.nontrivial_parts:
+        for pat in part:
+            inv = [0] * partition.c
+            for j, x in enumerate(pat):
+                inv[x - 1] = j
+            out[tuple(inv)] = (
+                pat,
+                tuple((q, tuple(inv[x - 1] for x in q)) for q in part if q != pat),
+            )
+    return out
+
+
+def rewrites(
+    p: Perm,
+    partition: ReplacementPartition,
+    mode: Mode = "factor",
+) -> Iterator[tuple[tuple[int, ...], Perm, Perm, Perm]]:
+    """Yield (0-based indices, from_pattern, to_pattern, target) for every
+    one-step rewrite of the tuple p, without validating p or its targets."""
+    c = partition.c
+    n = len(p)
+    mates = _mate_orders(partition)
+    window = range(c)
+    if mode == "factor":
+        for i in range(n - c + 1):
+            w = p[i : i + c]
+            entry = mates.get(tuple(sorted(window, key=w.__getitem__)))
+            if entry is None:
+                continue
+            pat, orders = entry
+            idx = tuple(range(i, i + c))
+            head, tail = p[:i], p[i + c :]
+            for q, order in orders:
+                yield idx, pat, q, head + tuple([w[o] for o in order]) + tail
+    elif mode == "subword":
+        for idx in itertools.combinations(range(n), c):
+            w = [p[i] for i in idx]
+            entry = mates.get(tuple(sorted(window, key=w.__getitem__)))
+            if entry is None:
+                continue
+            pat, orders = entry
+            for q, order in orders:
+                out = list(p)
+                for i, o in zip(idx, order):
+                    out[i] = w[o]
+                yield idx, pat, q, tuple(out)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def neighbors(
     p: Sequence[int],
     partition: ReplacementPartition,
     mode: Mode = "factor",
 ) -> list[Transformation]:
-    """All one-step transformations applicable to p."""
-    p = tuple(p)
-    c = partition.c
-    out = []
-    if mode == "factor":
-        sites = [
-            (tuple(range(i, i + c)), perms.standardize(p[i : i + c]))
-            for i in range(len(p) - c + 1)
-        ]
-    elif mode == "subword":
-        sites = [
-            (idx, perms.standardize(tuple(p[i] for i in idx)))
-            for idx in itertools.combinations(range(len(p)), c)
-        ]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for idx, pat in sites:
-        k = partition.part_index(pat)
-        if k is None:
-            continue
-        for q in partition.nontrivial_parts[k]:
-            if q == pat:
-                continue
-            out.append(
-                Transformation(
-                    source=p,
-                    target=_rewrite(p, idx, q),
-                    indices=tuple(i + 1 for i in idx),
-                    from_pattern=pat,
-                    to_pattern=q,
-                )
-            )
-    return out
+    """All one-step transformations applicable to the word p.
+
+    A list of :class:`Transformation` records built from :func:`rewrites`,
+    in site order (windows left to right, or index combinations in
+    lexicographic order), then part order within a site.
+    """
+    p = perms.as_word(p)
+    return [
+        Transformation(
+            source=p,
+            target=target,
+            indices=tuple(i + 1 for i in idx),
+            from_pattern=pat,
+            to_pattern=q,
+        )
+        for idx, pat, q, target in rewrites(p, partition, mode)
+    ]
 
 
 def down_jumps(p: Sequence[int], partition: ReplacementPartition) -> list[Perm]:

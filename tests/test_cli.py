@@ -157,6 +157,20 @@ def test_stooge_sets(capsys):
     assert code == 0 and set(data) == {"n", "partition", "L", "R", "I"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("stooge", "--partition", "{123,321}{213,231}"), "stooge needs --n"),
+    (("theorem", "avoider-criterion", "--partition", "{123,132}{213,231}"),
+     "theorem avoider-criterion needs --k"),
+    (("theorem", "down-jump", "--partition", "{123,132}{213,231}"),
+     "theorem down-jump needs --perm"),
+])
+def test_missing_argument_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(
         capsys, "verify", "--relations", "{123,132,231}", "--n-max", "6",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from math import factorial
 
 import numpy as np
@@ -190,6 +191,46 @@ def test_resource_bounds(knuth_like, monkeypatch):
 def test_class_of_cap(knuth_like):
     with pytest.raises(ResourceLimitError):
         engine.class_of((1, 5, 3, 2, 4), knuth_like, max_size=2)
+
+
+def _neighbors_bfs(p, partition, mode):
+    """Independent oracle: BFS over the Transformation records of neighbors."""
+    seen = {p}
+    frontier = [p]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for t in relation.neighbors(q, partition, mode):
+                if t.target not in seen:
+                    seen.add(t.target)
+                    nxt.append(t.target)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_class_of_matches_neighbors_bfs(mode):
+    # subword classes at n=7 run to thousands of members; stop at n=6 there
+    rng = random.Random(20260)
+    top = 7 if mode == "factor" else 6
+    for key in ("{123,321}{132,231}", "{123,132,231}", "{132,231}{213,312}",
+                "{123,132}{213,321}"):
+        K = relation.parse_partition(key)
+        for n in range(1, top + 1):
+            for _ in range(3):
+                p = tuple(rng.sample(range(1, n + 1), n))
+                truth = _neighbors_bfs(p, K, mode)
+                assert engine.class_of(p, K, mode) == truth, (key, mode, p)
+
+
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_class_of_cap_boundary(knuth_like, mode):
+    p = (1, 5, 3, 2, 4)
+    size = len(engine.class_of(p, knuth_like, mode))
+    assert size > 2
+    assert len(engine.class_of(p, knuth_like, mode, max_size=size)) == size
+    with pytest.raises(ResourceLimitError, match="exceeds cap"):
+        engine.class_of(p, knuth_like, mode, max_size=size - 1)
 
 
 def test_json_dict_schema(knuth_like):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from permclass import engine, invariants as inv, meta, perms, relation
@@ -174,3 +175,31 @@ def test_hit_position_propagation():
                 assert r_clean(cur, K), (key, n)
             prev = cur
     assert nonvacuous >= 2
+
+
+def _scan_stooge(n, K):
+    """Independent oracle: scan S_n in lexicographic (= rank) order with the
+    per-permutation predicates."""
+    dec = engine.enumerate_classes(n, K)
+    best = {"L": {}, "R": {}, "I": {}}
+    preds = {"L": relation.is_lefted, "R": relation.is_righted, "I": relation.is_middled}
+    for r, p in enumerate(perms.all_perms(n)):
+        cid = int(dec.class_id[r])
+        for kind, pred in preds.items():
+            if cid not in best[kind] and pred(p, K):
+                best[kind][cid] = p
+    sets = {kind: tuple(sorted(found.values())) for kind, found in best.items()}
+    nontrivial = {int(cid) for cid in np.nonzero(dec.class_sizes > 1)[0]}
+    return sets, nontrivial <= set(best["I"])
+
+
+def test_stooge_sets_match_scan():
+    from permclass import oracle
+
+    for key in oracle.relation_keys():
+        K = relation.parse_partition(key)
+        for n in range(K.c + 1, 8):
+            sets, reachable = _scan_stooge(n, K)
+            got = meta.stooge_sets(n, K)
+            assert (got.L, got.R, got.I) == (sets["L"], sets["R"], sets["I"]), (key, n)
+            assert meta.middled_reachability(n, K) == reachable, (key, n)

@@ -108,6 +108,12 @@ def test_text_formats():
         perms.parse_perm("122")
 
 
+@pytest.mark.parametrize("text", ["1,2,,3", "1,2,3,", ",1,2", "1,+2,3", "1,x,3"])
+def test_parse_perm_bad_comma_token(text):
+    with pytest.raises(InvalidWordError, match="not a permutation literal"):
+        perms.parse_perm(text)
+
+
 @given(perm_strategy)
 def test_parse_format_roundtrip(p):
     assert perms.parse_perm(perms.format_perm(p)) == p
