@@ -44,13 +44,16 @@ def _csv(rows, header) -> str:
     return buf.getvalue()
 
 
+_WORKERS_HELP = "worker count, >= 1 (no effect yet: the closure runs serially)"
+
+
 def _add_common(sub, partition_required=True, with_n=True):
     sub.add_argument("--partition", required=partition_required,
                      help="replacement partition, e.g. '{123,321}{132,231}'")
     if with_n:
         sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--mode", choices=["factor", "subword"], default="factor")
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     sub.add_argument("--allow-large", action="store_true",
                      help="raise the n bound after a memory check")
     sub.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -160,6 +163,8 @@ def _cmd_table(args) -> int:
     else:
         for n, v in oracle.sequence_table(oracle.FIGURE2_KEY, min(args.n_max, 12)).items():
             rows.append((oracle.FIGURE2_KEY, n, v))
+    if not rows:
+        raise PermclassError(f"table --n-max {args.n_max} gives no rows for figure {args.figure}")
     if args.format == "json":
         _emit(_json([{"relation": k, "n": n, "classes": v} for k, n, v in rows]), args.output)
     else:
@@ -202,6 +207,10 @@ def _cmd_verify(args) -> int:
         lines.append(
             f"{'OK      ' if good else 'MISMATCH'} {oracle.FIGURE2_KEY:24s} n={n} "
             f"expected={expected} engine={got}"
+        )
+    if not results:
+        raise PermclassError(
+            f"verify --n-max {args.n_max} --figure2-n-max {args.figure2_n_max} checks no rows"
         )
     lines.append("all rows verified" if ok else "verification FAILED")
     if args.format == "json":
@@ -308,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all' or semicolon-separated canonical partition texts")
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--figure2-n-max", type=int, default=8)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_verify)
@@ -344,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "workers", None) is not None and args.workers < 1:
+            raise PermclassError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ResourceLimitError as e:
         print(f"resource error: {e}", file=sys.stderr)

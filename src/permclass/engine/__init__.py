@@ -1,29 +1,24 @@
-"""Exhaustive class decomposition of S_n under a replacement partition.
+"""Exact class decomposition of S_n under a replacement partition.
 
-The decomposition runs over the dense Lehmer-rank space 0..n!-1.  Two
-backends build it, chosen by PERMCLASS_BACKEND (see active_backend):
-
-- "numba": worker blocks of ranks generate transformation edges on a
-  thread pool, the edges feed a union-find, and a final relabeling pass
-  assigns class ids in order of each class's minimal member rank.  The
-  kernels are numba-compiled when numba is importable; without it the
-  same kernels run as plain Python, much slower, with a RuntimeWarning.
-- "numpy": vectorized edge generation over a permutation table, with
-  connectivity from scipy.sparse.csgraph.
-
-The result is byte-identical for any worker count and either backend.
+The decomposition runs over the dense Lehmer-rank space 0..n!-1 and
+gives every rank a class id; the ids follow each class's minimal member
+rank.  Factor mode works on the Lehmer-digit grid with no permutation
+table; past 7 letters it closes the classes of S_8, ..., S_n in turn,
+each with one window's edges over the classes of the one before (see
+kernels_numpy).  Subword mode rewrites the rows of a permutation table
+and closes all of its edges at once.  scipy.sparse.csgraph does the
+closing.  ``hit_mask`` and the avoider counts use the same digit grid.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
-against the host (and PERMCLASS_MEMORY_CAP_MB, if set).
+against the available RAM (and PERMCLASS_MEMORY_CAP_MB, if set).
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Sequence
@@ -34,9 +29,8 @@ from .. import perms, relation
 from ..errors import ResourceLimitError
 from ..perms import Perm
 from ..relation import Mode, ReplacementPartition
-from . import kernels_numba, kernels_numpy
-from .kernels_numba import HAVE_NUMBA
-from .tables import PatternTables, banned_mask, build_tables
+from . import kernels_numpy
+from .tables import banned_mask, build_tables
 
 DEFAULT_MAX_N = {"factor": 10, "subword": 8}
 LARGE_MAX_N = {"factor": 12, "subword": 10}
@@ -46,27 +40,8 @@ _SUBWORD_BLOCK = 1 << 12
 
 
 def active_backend() -> str:
-    """The enumeration backend: PERMCLASS_BACKEND if set, else the default.
-
-    The default is "numba" when numba is importable, else "numpy".
-    PERMCLASS_BACKEND=numba selects the union-find kernels even without
-    numba: they then run uncompiled, and a RuntimeWarning says so.  Any
-    value other than "numba" or "numpy" raises ValueError.
-    """
-    forced = os.environ.get("PERMCLASS_BACKEND", "").strip().lower()
-    if forced == "numpy":
-        return "numpy"
-    if forced == "numba":
-        if not HAVE_NUMBA:
-            warnings.warn(
-                "PERMCLASS_BACKEND=numba but numba is not importable; "
-                "running the kernels uncompiled",
-                RuntimeWarning,
-            )
-        return "numba"
-    if forced:
-        raise ValueError(f"unknown PERMCLASS_BACKEND {forced!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
+    """The name of the enumeration engine, for reports: always "numpy"."""
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -159,69 +134,35 @@ def _check_bounds(n: int, mode: Mode, allow_large: bool) -> None:
             f"estimated {est / 1e6:.0f} MB exceeds PERMCLASS_MEMORY_CAP_MB"
         )
     if allow_large and n > DEFAULT_MAX_N[mode]:
-        try:
-            import psutil
-
-            avail = psutil.virtual_memory().available
-        except ImportError:  # pragma: no cover
-            avail = None
-        if avail is not None and est > avail:
+        avail = _available_bytes()
+        if avail is None:
+            print("permclass: available memory unknown; RAM check skipped", file=sys.stderr)
+        elif est > avail:
             raise ResourceLimitError(
                 f"estimated {est / 1e6:.0f} MB exceeds available memory "
                 f"({avail / 1e6:.0f} MB); refusing"
             )
 
 
+def _available_bytes() -> int | None:
+    """Available RAM: MemAvailable from /proc/meminfo, else the free pages
+    from os.sysconf; None where neither can be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _comb_array(n: int, c: int) -> np.ndarray:
     combs = list(itertools.combinations(range(n), c))
     return np.array(combs, dtype=np.int64).reshape(len(combs), c)
-
-
-def _fact_vec(n: int) -> np.ndarray:
-    return np.array([factorial(i) for i in range(n + 1)], dtype=np.int64)
-
-
-def _edges_numba(n, mode, tab: PatternTables, workers: int):
-    """Yield (src, dst, count) edge blocks in deterministic block order."""
-    total = factorial(n)
-    fact = _fact_vec(n)
-    if mode == "factor":
-        block = _FACTOR_BLOCK
-        sites = n - tab.c + 1
-        combs = None
-    else:
-        block = _SUBWORD_BLOCK
-        combs = _comb_array(n, tab.c)
-        sites = len(combs)
-    per_perm = max(sites, 1) * max(tab.max_out, 1)
-    starts = list(range(0, total, block))
-
-    def run(start):
-        count = min(block, total - start)
-        src = np.empty(count * per_perm, dtype=np.int64)
-        dst = np.empty(count * per_perm, dtype=np.int64)
-        if mode == "factor":
-            m = kernels_numba.factor_edges_block(
-                n, tab.c, start, count, fact, tab.cfact,
-                tab.part_id, tab.pat_onel, tab.pat_digits,
-                tab.partners_ptr, tab.partners_idx, src, dst,
-            )
-        else:
-            m = kernels_numba.subword_edges_block(
-                n, tab.c, start, count, fact, tab.cfact,
-                tab.part_id, tab.pat_onel,
-                tab.partners_ptr, tab.partners_idx, combs, src, dst,
-            )
-        return src, dst, m
-
-    if workers <= 1 or len(starts) <= 1:
-        for start in starts:
-            yield run(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, start) for start in starts]
-            for fut in futures:
-                yield fut.result()
 
 
 def enumerate_classes(
@@ -231,30 +172,28 @@ def enumerate_classes(
     workers: int | None = None,
     allow_large: bool = False,
 ) -> ClassDecomposition:
-    """Exact transitive closure of the one-step relation over all of S_n."""
+    """Exact transitive closure of the one-step relation over all of S_n.
+
+    ``workers`` must be >= 1 if given; it has no effect yet, since the
+    closure runs serially.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if mode not in DEFAULT_MAX_N:
+        raise ValueError(f"unknown mode {mode!r}; expected 'factor' or 'subword'")
     _check_bounds(n, mode, allow_large)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    total = factorial(n)
     tab = build_tables(partition)
-    backend = active_backend()
-    if backend == "numba":
-        parent = np.arange(total, dtype=np.int32)
-        size = np.ones(total, dtype=np.int32)
-        for src, dst, m in _edges_numba(n, mode, tab, workers):
-            kernels_numba.apply_unions(parent, size, src, dst, m)
-        class_id, num = kernels_numba.relabel_by_min_member(parent)
+    if mode == "factor":
+        class_id, num = kernels_numpy.factor_class_ids(n, tab)
     else:
         table = kernels_numpy.perm_table(n)
-        if mode == "factor":
-            src, dst = kernels_numpy.factor_edges(n, tab, table)
-        else:
-            src, dst = kernels_numpy.subword_edges(n, tab, table, _comb_array(n, tab.c))
-        class_id, num = kernels_numpy.connected_class_ids(total, src, dst)
+        src, dst = kernels_numpy.subword_edges(n, tab, table, _comb_array(n, tab.c))
+        class_id, num = kernels_numpy.connected_class_ids(factorial(n), src, dst)
     sizes = np.bincount(class_id, minlength=num).astype(np.int64)
-    rep_ranks = np.unique(class_id, return_index=True)[1].astype(np.int64)
+    # ids follow minimal member rank: a class starts where the running max steps
+    rep_ranks = np.flatnonzero(np.diff(np.maximum.accumulate(class_id), prepend=-1))
     for arr in (class_id, sizes, rep_ranks):
         arr.flags.writeable = False
     return ClassDecomposition(
@@ -312,30 +251,16 @@ def class_sizes_multiset(
 def count_avoiders(n: int, c: int, patterns: Iterable[Perm]) -> int:
     """Permutations of S_n containing no factor forming any given pattern."""
     pats = [perms.as_perm(p) for p in patterns]
-    if not pats:
+    if not pats or n < c:
         return factorial(n)
-    if n < c:
-        return factorial(n)
-    banned = banned_mask(c, pats)
-    total = factorial(n)
-    if active_backend() == "numba":
-        fact = _fact_vec(n)
-        cfact = _fact_vec(c)
-        return int(
-            kernels_numba.count_banned_avoiders_block(n, c, 0, total, fact, cfact, banned)
-        )
-    table = kernels_numpy.perm_table(n)
-    return kernels_numpy.count_banned_avoiders(n, c, banned, table)
+    return kernels_numpy.count_banned_avoiders(n, c, banned_mask(c, pats))
 
 
 def hit_mask(n: int, partition: ReplacementPartition) -> np.ndarray:
     """(n!, n-c+1) bool over ranks: entry [r, i] is True iff the factor at
     0-based window i of rank r is a hit (lies in a nontrivial part)."""
     c = partition.c
-    table = kernels_numpy.perm_table(n)
-    return kernels_numpy.window_hits(
-        n, c, banned_mask(c, partition.nontrivial_patterns), table
-    )
+    return kernels_numpy.window_hits(n, c, banned_mask(c, partition.nontrivial_patterns))
 
 
 def count_trivial(n: int, partition: ReplacementPartition) -> int:

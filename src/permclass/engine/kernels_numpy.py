@@ -1,15 +1,29 @@
-"""Pure-numpy fallback kernels (the default where numba is not importable;
-forced with PERMCLASS_BACKEND=numpy).
+"""numpy kernels of the enumeration engine.
 
-Everything is vectorized across the whole of S_n: the permutation table
-is materialized as an (n!, n) array, pattern ids per window come from a
-vectorized Lehmer computation, and connectivity is delegated to
-scipy.sparse.csgraph.  Slower and hungrier than the compiled numba path
-but with identical results.
+Factor mode runs on the Lehmer-digit grid and builds no permutation table.
+The rank of p in S_n is a mixed-radix number whose digit j (radix n-j)
+counts the later letters smaller than p_j.  For the length-c window that
+starts at position i, with m = n-i letters from there on, the rank splits
+as ``pre * m! + loc * (m-c)! + suf``: pre reads the digits before the
+window, loc its c digits and suf the digits after it.  The window's pattern
+and the loc of every rewrite of it are functions of loc alone, because a
+rewrite only permutes the window's letters: every letter keeps the set of
+letters after it outside the window, and the letters outside keep theirs.
+So a local rule over the m!/(m-c)! values of loc (``window_letters``)
+gives every factor edge, hit and avoider by broadcasting over
+(pre, loc, suf).
+
+``factor_class_ids`` closes these edges one letter at a time.
+
+Subword mode permutes letters at non-adjacent positions, which changes the
+digits between them, so it keeps an (n!, n) permutation table.
+Connectivity is delegated to scipy.sparse.csgraph.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -17,25 +31,25 @@ import numpy as np
 from .tables import PatternTables
 
 _CHUNK = 1 << 19
+_WHOLE_GRID_N = 7
 
 
 def perm_table(n: int) -> np.ndarray:
-    """All of S_n in lexicographic order as an (n!, n) int8/int16 array."""
-    total = factorial(n)
+    """All of S_n in lexicographic order as an (n!, n) int8/int16 array.
+
+    Built block-recursively: the block of S_k with first letter a is
+    ``[a, prev + (prev >= a)]`` over the table of S_{k-1}.
+    """
     dtype = np.int8 if n <= 127 else np.int16
-    ranks = np.arange(total, dtype=np.int64)
-    out = np.empty((total, n), dtype=dtype)
-    avail = np.broadcast_to(np.arange(1, n + 1, dtype=dtype), (total, n)).copy()
-    rows = np.arange(total)
-    for i in range(n):
-        f = factorial(n - 1 - i)
-        d = (ranks // f) % (n - i)
-        out[:, i] = avail[rows, d]
-        shifted = np.empty_like(avail)
-        shifted[:, :-1] = avail[:, 1:]
-        shifted[:, -1] = 0
-        avail = np.where(np.arange(n)[None, :] >= d[:, None], shifted, avail)
-    return out
+    table = np.zeros((1, 0), dtype=dtype)
+    for k in range(1, n + 1):
+        prev, block = table, len(table)
+        table = np.empty((block * k, k), dtype=dtype)
+        for a in range(1, k + 1):
+            rows = table[(a - 1) * block : a * block]
+            rows[:, 0] = a
+            rows[:, 1:] = prev + (prev >= a)
+    return table
 
 
 def _fact_vec(n: int) -> np.ndarray:
@@ -65,44 +79,100 @@ def rank_rows(perm_rows: np.ndarray, fact: np.ndarray) -> np.ndarray:
     return r
 
 
-def factor_edges(n: int, tab: PatternTables, table: np.ndarray):
-    """All undirected factor-transformation edges as (src, dst) rank arrays."""
-    c = tab.c
-    fact = _fact_vec(n)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    nontrivial = np.nonzero(tab.part_id >= 0)[0]
-    for i in range(n - c + 1):
-        win = table[:, i : i + c].astype(np.int64)
-        pid = _window_pattern_ids(win, tab.cfact)
-        for t in nontrivial:
-            lo, hi = tab.partners_ptr[t], tab.partners_ptr[t + 1]
-            if lo == hi:
-                continue
-            rows_all = np.nonzero(pid == t)[0]
-            for s in range(0, len(rows_all), _CHUNK):
-                rows = rows_all[s : s + _CHUNK]
-                if not len(rows):
-                    continue
-                sw = np.sort(win[rows], axis=1)
-                suffix = table[rows][:, i + c :].astype(np.int64)
-                # tail[s] = letters beyond the window smaller than s-th smallest
-                tail = (suffix[:, None, :] < sw[:, :, None]).sum(axis=2)
-                def base(q):
-                    acc = np.zeros(len(rows), dtype=np.int64)
-                    for j in range(c):
-                        acc += (
-                            tab.pat_digits[q, j] + tail[:, tab.pat_onel[q, j] - 1]
-                        ) * fact[n - 1 - i - j]
-                    return acc
-                base_t = base(t)
-                for q in tab.partners_idx[lo:hi]:
-                    src_parts.append(rows)
-                    dst_parts.append(rows - base_t + base(q))
-    if not src_parts:
+@lru_cache(maxsize=None)
+def window_letters(m: int, c: int) -> np.ndarray:
+    """The first c letters (0-based) of a permutation of m letters, one row
+    per value of the window's digits loc: the c-prefixes of S_m in
+    lexicographic order, so row loc has digits reading loc."""
+    rows = np.array(list(itertools.permutations(range(m), c)), dtype=np.int64)
+    rows = rows.reshape(-1, c)
+    rows.flags.writeable = False
+    return rows
+
+
+def local_index(letters: np.ndarray, m: int) -> np.ndarray:
+    """loc of each row of window letters: digit j is letter j less the
+    earlier window letters below it, read in radix m, m-1, ..., m-c+1."""
+    loc = np.zeros(len(letters), dtype=np.int64)
+    for j in range(letters.shape[1]):
+        smaller = sum(letters[:, k] < letters[:, j] for k in range(j))
+        loc = loc * (m - j) + letters[:, j] - smaller
+    return loc
+
+
+def window_pattern_ids(m: int, c: int) -> np.ndarray:
+    """S_c pattern id of the window at each loc (the local rule's pattern)."""
+    return _window_pattern_ids(window_letters(m, c), _fact_vec(c))
+
+
+def _window_pairs(m: int, tab: PatternTables) -> tuple[np.ndarray, np.ndarray]:
+    """Local edges (a, b) of a window with m letters from its start: a is a
+    loc whose pattern has a partner with a larger id, b the loc of the
+    window rewritten to that partner."""
+    pid = window_pattern_ids(m, tab.c)
+    ordered = np.sort(window_letters(m, tab.c), axis=1)
+    a_parts, b_parts = [], []
+    for t in np.nonzero(tab.part_id >= 0)[0]:
+        rows = np.nonzero(pid == t)[0]
+        for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]]:
+            a_parts.append(rows)
+            b_parts.append(local_index(ordered[rows][:, tab.pat_onel[q] - 1], m))
+    if not a_parts:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    return np.concatenate(a_parts), np.concatenate(b_parts)
+
+
+def factor_edges(n: int, tab: PatternTables, first_only: bool = False):
+    """Undirected factor-transformation edges of every window (of the first
+    window only, if first_only) as (src, dst) rank arrays, broadcast over
+    the digit grid: ``pre * m! + loc * (m-c)! + suf`` for the local edges
+    (a, b) of each window."""
+    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
+    src_parts: list[np.ndarray] = []
+    dst_parts: list[np.ndarray] = []
+    windows = n - tab.c + 1
+    for i in range(min(windows, 1) if first_only else windows):
+        m = n - i
+        a, b = _window_pairs(m, tab)
+        if not len(a):
+            continue
+        stride = factorial(m - tab.c)
+        pre = np.arange(factorial(n) // factorial(m), dtype=dtype) * factorial(m)
+        pre = pre[:, None, None]
+        suf = np.arange(stride, dtype=dtype)
+        for loc, parts in ((a, src_parts), (b, dst_parts)):
+            parts.append((pre + (loc.astype(dtype) * stride)[:, None] + suf).ravel())
+    if not src_parts:
+        empty = np.empty(0, dtype=dtype)
+        return empty, empty
     return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+
+def factor_class_ids(n: int, tab: PatternTables) -> tuple[np.ndarray, int]:
+    """Factor-mode class id of every rank of S_n, ids following each class's
+    minimal rank, built up one letter at a time.
+
+    Rank r of S_k is ``d * (k-1)! + t``: d is its first digit and t the
+    rank in S_{k-1} of its last k-1 letters, standardized.  Every window
+    but the first acts on t alone and keeps d, so the closure of those
+    windows maps r to the node ``d * C + cls[t]``, where cls holds the C
+    class ids of S_{k-1}.  Closing the first window's edges over these
+    k * C nodes gives the classes of S_k.  Node order is minimal-rank
+    order, so the component ids of connected_class_ids follow minimal rank.
+    The graphs closed have k * C nodes and one window's edges, where the
+    whole-grid graph has n! nodes and every window's edges.  Up to
+    _WHOLE_GRID_N letters the whole grid is closed at once: that one call
+    costs less than a call per letter.
+    """
+    base = min(n, _WHOLE_GRID_N)
+    cls, num = connected_class_ids(factorial(base), *factor_edges(base, tab))
+    for k in range(base + 1, n + 1):
+        node = ((np.arange(k, dtype=np.int32) * num)[:, None] + cls).ravel()
+        src, dst = factor_edges(k, tab, first_only=True)
+        comp, num = connected_class_ids(k * num, node[src], node[dst])
+        cls = comp[node]
+    return cls, num
 
 
 def subword_edges(n: int, tab: PatternTables, table: np.ndarray, combs: np.ndarray):
@@ -138,19 +208,21 @@ def subword_edges(n: int, tab: PatternTables, table: np.ndarray, combs: np.ndarr
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
-def window_hits(n: int, c: int, mask: np.ndarray, table: np.ndarray) -> np.ndarray:
+def window_hits(n: int, c: int, mask: np.ndarray) -> np.ndarray:
     """(n!, n-c+1) bool: hits[r, i] iff the 0-based window i of rank r
-    standardizes to a pattern id marked in mask."""
-    cfact = _fact_vec(c)
-    hits = np.empty((len(table), max(n - c + 1, 0)), dtype=np.bool_)
+    standardizes to a pattern id marked in mask (broadcast over the digit
+    grid; the result is a transposed, column-major view)."""
+    total = factorial(n)
+    hits = np.empty((max(n - c + 1, 0), total), dtype=np.bool_)
     for i in range(n - c + 1):
-        win = table[:, i : i + c].astype(np.int64)
-        hits[:, i] = mask[_window_pattern_ids(win, cfact)]
-    return hits
+        m = n - i
+        grid = hits[i].reshape(total // factorial(m), -1, factorial(m - c))
+        grid[...] = mask[window_pattern_ids(m, c)][:, None]
+    return hits.T
 
 
-def count_banned_avoiders(n: int, c: int, banned: np.ndarray, table: np.ndarray) -> int:
-    return int((~window_hits(n, c, banned, table).any(axis=1)).sum())
+def count_banned_avoiders(n: int, c: int, banned: np.ndarray) -> int:
+    return int(np.count_nonzero(~window_hits(n, c, banned).any(axis=1)))
 
 
 def connected_class_ids(total: int, src: np.ndarray, dst: np.ndarray):

@@ -1,4 +1,4 @@
-"""Flat lookup tables over S_c shared by both enumeration backends.
+"""Flat lookup tables over S_c shared by the factor and subword kernels.
 
 Patterns are indexed by their Lehmer rank within S_c (lexicographic
 order).  Partner lists only contain partners with a *larger* pattern id,
@@ -21,10 +21,8 @@ class PatternTables:
     c: int
     part_id: np.ndarray        # (c!,) int64, -1 for singletons
     pat_onel: np.ndarray       # (c!, c) int64 one-line letters
-    pat_digits: np.ndarray     # (c!, c) int64 Lehmer digits
     partners_ptr: np.ndarray   # (c!+1,) int64 CSR offsets
     partners_idx: np.ndarray   # flat partner pattern ids (id > own id only)
-    max_out: int               # max partners of any single pattern
     cfact: np.ndarray          # factorials 0..c
 
 
@@ -33,11 +31,8 @@ def build_tables(partition: ReplacementPartition) -> PatternTables:
     nc = factorial(c)
     part_id = np.full(nc, -1, dtype=np.int64)
     pat_onel = np.empty((nc, c), dtype=np.int64)
-    pat_digits = np.empty((nc, c), dtype=np.int64)
     for pid, pat in enumerate(perms.all_perms(c)):
         pat_onel[pid] = pat
-        for j in range(c):
-            pat_digits[pid, j] = sum(1 for k in range(j + 1, c) if pat[k] < pat[j])
         k = partition.part_index(pat)
         if k is not None:
             part_id[pid] = k
@@ -52,16 +47,13 @@ def build_tables(partition: ReplacementPartition) -> PatternTables:
     idx = np.fromiter(
         (q for lst in partner_lists for q in lst), dtype=np.int64, count=int(ptr[-1])
     )
-    max_out = max((len(lst) for lst in partner_lists), default=0)
     cfact = np.array([factorial(i) for i in range(c + 1)], dtype=np.int64)
     return PatternTables(
         c=c,
         part_id=part_id,
         pat_onel=pat_onel,
-        pat_digits=pat_digits,
         partners_ptr=ptr,
         partners_idx=idx,
-        max_out=max_out,
         cfact=cfact,
     )
 

@@ -125,6 +125,11 @@ def repeated_down_jump(
         cur = relation._rewrite(cur, range(i, i + c), d)
 
 
+def _check_range(k: int, check_to: int | None) -> None:
+    if check_to is not None and check_to < k:
+        raise ValueError(f"check_to={check_to} is below k={k}: nothing to check")
+
+
 def avoider_criterion(
     partition: ReplacementPartition, k: int, check_to: int | None = None
 ) -> CriterionReport:
@@ -132,6 +137,7 @@ def avoider_criterion(
     c = partition.c
     if k < 2 * c - 1:
         raise ValueError(f"criterion needs k >= 2c-1 = {2 * c - 1}, got {k}")
+    _check_range(k, check_to)
     n_k = engine.enumerate_classes(k, partition).num_classes
     a_k = count_U_avoiders(k, partition)
     holds = n_k == a_k
@@ -164,6 +170,7 @@ def adjacent_equals_subword(
     """Compare factor- and subword-mode class decompositions at k..check_to."""
     if k <= partition.c:
         raise ValueError(f"need k > c = {partition.c}")
+    _check_range(k, check_to)
     top = check_to if check_to is not None else k
 
     def equal_at(n: int) -> bool:

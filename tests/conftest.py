@@ -2,17 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from permclass import relation
+from permclass import engine, relation
 
 
-@pytest.fixture(params=["numba", "numpy"])
-def backend(request, monkeypatch):
-    """Run the test under each enumeration backend.
-
-    The numba case runs the union-find kernels uncompiled where numba is
-    not importable, so they are checked on every machine.
-    """
-    monkeypatch.setenv("PERMCLASS_BACKEND", request.param)
+@pytest.fixture(params=["numpy"])
+def backend(request):
+    """The one enumeration engine, as a parameter so that case IDs name it."""
+    assert engine.active_backend() == request.param
     return request.param
 
 

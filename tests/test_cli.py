@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import importlib.util
 import json
+import warnings
 
 import pytest
 
@@ -37,20 +37,19 @@ def test_count_all_singleton(capsys):
     assert "num_classes=24" in out
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("numba") is not None,
-    reason="tests the uncompiled kernels, which run only where numba is missing",
-)
 def test_count_numba_backend_without_numba(capsys, monkeypatch):
+    # the numba backend is gone: a PERMCLASS_BACKEND left over from older
+    # setups is ignored, with no warning and the same output
     argv = ("count", "--partition", "{123,132,231}", "--n", "5")
-    monkeypatch.setenv("PERMCLASS_BACKEND", "numpy")
+    monkeypatch.delenv("PERMCLASS_BACKEND", raising=False)
     code_np, out_np, _ = run(capsys, *argv)
     monkeypatch.setenv("PERMCLASS_BACKEND", "numba")
-    with pytest.warns(RuntimeWarning, match="numba is not importable") as record:
-        code_nb, out_nb, _ = run(capsys, *argv)
-    assert len(record) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code_nb, out_nb, err_nb = run(capsys, *argv)
     assert code_np == code_nb == 0
     assert out_nb == out_np
+    assert err_nb == ""
 
 
 def test_count_csv_schema(capsys):
@@ -210,3 +209,22 @@ def test_verify_byte_identical_across_workers(tmp_path):
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--partition", "{123,132,231}", "--n", "4", "--workers", "0"),
+    ("count", "--partition", "{123,132,231}", "--n", "4", "--workers", "-3"),
+    ("classes", "--partition", "{123,132,231}", "--perm", "1324", "--workers", "0"),
+    ("verify", "--n-max", "3", "--figure2-n-max", "3", "--workers", "0"),
+    ("theorem", "adjacent-subword", "--partition", "{123,132}", "--k", "4",
+     "--check-to", "2"),
+    ("theorem", "avoider-criterion", "--partition", "{123,132}{213,231}", "--k", "5",
+     "--check-to", "4"),
+    ("table", "--n-max", "-3"),
+    ("table", "--figure", "2", "--n-max", "2"),
+    ("verify", "--n-max", "2", "--figure2-n-max", "2"),
+])
+def test_bad_value_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import itertools
 import random
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permclass import engine, perms, relation
+from permclass import engine, oracle, perms, relation
+from permclass.engine import kernels_numpy as kn
+from permclass.engine.tables import build_tables
 from permclass.errors import ResourceLimitError
 
 
@@ -84,22 +89,50 @@ def test_worker_counts_identical(knuth_like):
         assert np.array_equal(base.class_sizes, other.class_sizes)
 
 
-def test_backends_identical(knuth_like, monkeypatch):
-    monkeypatch.setenv("PERMCLASS_BACKEND", "numba")
-    a = engine.enumerate_classes(6, knuth_like)
-    monkeypatch.setenv("PERMCLASS_BACKEND", "numpy")
-    b = engine.enumerate_classes(6, knuth_like)
-    assert np.array_equal(a.class_id, b.class_id)
-    assert a.to_json_dict() == b.to_json_dict()
+def _edge_set(src, dst):
+    pairs = np.sort(np.stack([src, dst], axis=1).astype(np.int64), axis=1)
+    return np.unique(pairs, axis=0)
 
 
-def test_unknown_backend_refused(knuth_like, monkeypatch):
+def test_backends_identical(knuth_like):
+    # Factor mode has two edge sources: the digit grid, and the rows of a
+    # permutation table rewritten at each contiguous window (the subword
+    # kernel restricted to factors).  They must give the same edges, and
+    # the letter-by-letter closure the same classes as the table's edges.
+    for key in ("{123,321}{132,231}", "{132,231}{213,312}", "{123,132,231}"):
+        K = relation.parse_partition(key)
+        tab = build_tables(K)
+        for n in range(K.c, 8):
+            dec = engine.enumerate_classes(n, K)
+            windows = np.array([range(i, i + K.c) for i in range(n - K.c + 1)])
+            src, dst = kn.subword_edges(n, tab, kn.perm_table(n), windows)
+            assert np.array_equal(_edge_set(*kn.factor_edges(n, tab)), _edge_set(src, dst))
+            class_id, num = kn.connected_class_ids(factorial(n), src, dst)
+            assert np.array_equal(dec.class_id, class_id), (key, n)
+            assert dec.num_classes == num
+
+
+@pytest.mark.parametrize("whole_grid_n", [1, kn._WHOLE_GRID_N])
+def test_factor_class_ids_match_whole_grid_closure(monkeypatch, whole_grid_n):
+    # the closure built one letter at a time, from S_1 and from the default
+    # base, against csgraph over every window's edges at once, for every
+    # registered relation and c = 2, 4
+    monkeypatch.setattr(kn, "_WHOLE_GRID_N", whole_grid_n)
+    keys = [*oracle.relation_keys(), "{12,21}", "{1234,1243}{2134,2143}", "{1234,4321}"]
+    for key in keys:
+        tab = build_tables(relation.parse_partition(key))
+        for n in range(1, 9):
+            class_id, num = kn.factor_class_ids(n, tab)
+            expected, expected_num = kn.connected_class_ids(factorial(n), *kn.factor_edges(n, tab))
+            assert class_id.dtype == np.int32
+            assert np.array_equal(class_id, expected) and num == expected_num, (key, n)
+
+
+def test_unknown_backend_refused(knuth_like):
+    # the mode picks the edge source (digit grid or permutation table);
     # the CLI maps this ValueError to exit code 2
-    monkeypatch.setenv("PERMCLASS_BACKEND", "bogus")
-    with pytest.raises(ValueError, match="unknown PERMCLASS_BACKEND 'bogus'"):
-        engine.active_backend()
-    with pytest.raises(ValueError, match="unknown PERMCLASS_BACKEND"):
-        engine.enumerate_classes(4, knuth_like)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        engine.enumerate_classes(4, knuth_like, mode="bogus")
 
 
 def test_factor_count_at_least_subword_count():
@@ -260,3 +293,115 @@ def test_path_reconstruction_s5(knuth_like):
                         nxt.append(t.target)
             frontier = nxt
         assert reached == members
+
+
+def test_workers_below_one_refused(knuth_like):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        engine.enumerate_classes(4, knuth_like, workers=0)
+
+
+def test_ram_check(knuth_like, monkeypatch, capsys):
+    assert engine._available_bytes() > 0
+    expected = engine.enumerate_classes(5, knuth_like).num_classes
+    monkeypatch.setitem(engine.DEFAULT_MAX_N, "factor", 4)
+    monkeypatch.setattr(engine, "_available_bytes", lambda: 1)
+    with pytest.raises(ResourceLimitError, match="exceeds available memory"):
+        engine.enumerate_classes(5, knuth_like, allow_large=True)
+    monkeypatch.setattr(engine, "_available_bytes", lambda: None)
+    assert engine.enumerate_classes(5, knuth_like, allow_large=True).num_classes == expected
+    assert capsys.readouterr().err == "permclass: available memory unknown; RAM check skipped\n"
+
+
+@lru_cache(maxsize=None)
+def _unrank_table(n):
+    return np.array([perms.unrank(r, n) for r in range(factorial(n))]).reshape(-1, n)
+
+
+def _lehmer_ranks(rows):
+    """Lehmer rank of each row, from the definition of the digits."""
+    n = rows.shape[1]
+    r = np.zeros(len(rows), dtype=np.int64)
+    for j in range(n):
+        r = r * (n - j) + (rows[:, j + 1 :] < rows[:, j : j + 1]).sum(axis=1)
+    return r
+
+
+def test_perm_table_matches_unrank():
+    for n in range(1, 8):
+        table = kn.perm_table(n)
+        assert np.array_equal(table, _unrank_table(n))
+        assert np.array_equal(_lehmer_ranks(table), np.arange(factorial(n)))
+
+
+def test_window_letters_in_local_index_order():
+    for m, c in ((3, 3), (5, 2), (7, 3), (8, 4)):
+        letters = kn.window_letters(m, c)
+        assert len(letters) == factorial(m) // factorial(m - c)
+        assert np.array_equal(kn.local_index(letters, m), np.arange(len(letters)))
+
+
+@pytest.mark.parametrize("c", [2, 3, 4])
+def test_digit_rule_lemma_exhaustive(c):
+    # The pattern and every rewrite of the window at i, read from its c
+    # digits alone, against unrank + rewrite + rank, for every rank of S_n.
+    for n in range(c, 9):
+        table = _unrank_table(n)
+        ranks = np.arange(factorial(n))
+        for i in range(n - c + 1):
+            m = n - i
+            stride = factorial(m - c)
+            pre, loc, suf = ranks // factorial(m), ranks % factorial(m) // stride, ranks % stride
+            win = table[:, i : i + c]
+            assert np.array_equal(kn.window_pattern_ids(m, c)[loc], _lehmer_ranks(win))
+            rule = np.sort(kn.window_letters(m, c)[loc], axis=1)
+            letters = np.sort(win, axis=1)
+            for q in itertools.permutations(range(c)):
+                moved = table.copy()
+                moved[:, i : i + c] = letters[:, q]
+                got = pre * factorial(m) + kn.local_index(rule[:, q], m) * stride + suf
+                assert np.array_equal(got, _lehmer_ranks(moved)), (n, i, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_digit_rule_lemma_to_n20(data):
+    c = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(c, 20))
+    p = tuple(data.draw(st.permutations(range(1, n + 1))))
+    i = data.draw(st.integers(0, n - c))
+    q = data.draw(st.permutations(range(c)))
+    m = n - i
+    stride = factorial(m - c)
+    pre, rest = divmod(perms.rank(p), factorial(m))
+    loc, suf = divmod(rest, stride)
+    assert kn.window_pattern_ids(m, c)[loc] == perms.rank(perms.standardize(p[i : i + c]))
+    letters = sorted(p[i : i + c])
+    target = p[:i] + tuple(letters[x] for x in q) + p[i + c :]
+    rule = np.sort(kn.window_letters(m, c)[loc : loc + 1], axis=1)[:, list(q)]
+    assert perms.rank(target) == pre * factorial(m) + int(kn.local_index(rule, m)[0]) * stride + suf
+
+
+def test_hit_mask_matches_scan():
+    # per-permutation scan: the pattern id of every window of every p in S_n
+    scans = {}
+    for key in oracle.relation_keys():
+        K = relation.parse_partition(key)
+        hit = [perms.rank(pat) for pat in K.nontrivial_patterns]
+        for n in range(K.c, 9):
+            if (n, K.c) not in scans:
+                scans[n, K.c] = np.array([
+                    [perms.rank(perms.standardize(p[i : i + K.c])) for i in range(n - K.c + 1)]
+                    for p in perms.all_perms(n)
+                ])
+            expected = np.isin(scans[n, K.c], hit)
+            assert np.array_equal(engine.hit_mask(n, K), expected), (key, n)
+
+
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_rep_ranks_are_class_minima(mode):
+    total = factorial(7)
+    for key in ("{123,321}{132,231}", "{132,231}{213,312}", "{123,132,231}"):
+        dec = engine.enumerate_classes(7, relation.parse_partition(key), mode=mode)
+        first = np.full(dec.num_classes, total)
+        np.minimum.at(first, dec.class_id, np.arange(total))
+        assert np.array_equal(dec.rep_ranks, first), key
