@@ -2,12 +2,16 @@
 
 The decomposition runs over the dense Lehmer-rank space 0..n!-1 and
 gives every rank a class id; the ids follow each class's minimal member
-rank.  Factor mode works on the Lehmer-digit grid with no permutation
-table; past 7 letters it closes the classes of S_8, ..., S_n in turn,
-each with one window's edges over the classes of the one before (see
-kernels_numpy).  Subword mode rewrites the rows of a permutation table
-and closes all of its edges at once.  scipy.sparse.csgraph does the
-closing.  ``hit_mask`` and the avoider counts use the same digit grid.
+rank.  Both modes run one closure (kernels_numpy.class_ids): past 7
+letters it closes the classes of S_8, ..., S_n in turn, each with the
+rewrites through the first position over the classes of the one before.
+A rewrite that leaves the first letter alone acts on the last k-1
+letters as the same rewrite in S_{k-1}: every window but the first in
+factor mode, every index set without position 0 in subword mode.  Only
+the edge source differs: factor mode reads the Lehmer-digit grid with no
+permutation table, subword mode rewrites the rows of a permutation
+table.  scipy.sparse.csgraph does the closing.  ``hit_mask`` and the
+avoider counts use the same digit grid.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
@@ -16,11 +20,10 @@ against the available RAM (and PERMCLASS_MEMORY_CAP_MB, if set).
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,8 +38,6 @@ from .tables import banned_mask, build_tables
 DEFAULT_MAX_N = {"factor": 10, "subword": 8}
 LARGE_MAX_N = {"factor": 12, "subword": 10}
 DEFAULT_CLASS_CAP = 2_000_000
-_FACTOR_BLOCK = 1 << 16
-_SUBWORD_BLOCK = 1 << 12
 
 
 def active_backend() -> str:
@@ -107,16 +108,23 @@ def _memory_cap_bytes() -> int | None:
 
 
 def estimate_bytes(n: int, mode: Mode = "factor") -> int:
-    """Rough peak size of the dense arrays for enumerate_classes."""
-    total = factorial(n)
-    per_rank = 4 + 4 + 4 + 4  # parent, size, class_id, label
-    block = _FACTOR_BLOCK if mode == "factor" else _SUBWORD_BLOCK
-    if mode == "factor" or n < 3:
-        sites = n - 1
+    """Rough peak memory of enumerate_classes, from the step that closes S_n
+    (or the whole grid, up to kernels_numpy._WHOLE_GRID_N letters).
+
+    Per rank: the int32 node and class arrays and their copies while the
+    ids are ordered, 24 B; in subword mode also the int8 permutation table
+    row and one index set's pattern-id scan, n + 24 B.  Per edge: its int32
+    ends, their node images and csgraph's copies of them, 40 B.  The edges
+    are taken as one per rank and rewrite site (window or index set of
+    three positions) that the step closes: a part of four patterns of S_3
+    gives as many.
+    """
+    whole = n <= kernels_numpy._WHOLE_GRID_N
+    if mode == "factor":
+        per_rank, sites = 24, max(n - 2, 0) if whole else 1
     else:
-        sites = n * (n - 1) * (n - 2) // 6
-    edge_buf = block * max(sites, 1) * 5 * 16
-    return total * per_rank + edge_buf
+        per_rank, sites = 48 + n, comb(n, 3) if whole else comb(n - 1, 2)
+    return factorial(n) * (per_rank + 40 * sites)
 
 
 def _check_bounds(n: int, mode: Mode, allow_large: bool) -> None:
@@ -160,11 +168,6 @@ def _available_bytes() -> int | None:
         return None
 
 
-def _comb_array(n: int, c: int) -> np.ndarray:
-    combs = list(itertools.combinations(range(n), c))
-    return np.array(combs, dtype=np.int64).reshape(len(combs), c)
-
-
 def enumerate_classes(
     n: int,
     partition: ReplacementPartition,
@@ -184,13 +187,7 @@ def enumerate_classes(
     if mode not in DEFAULT_MAX_N:
         raise ValueError(f"unknown mode {mode!r}; expected 'factor' or 'subword'")
     _check_bounds(n, mode, allow_large)
-    tab = build_tables(partition)
-    if mode == "factor":
-        class_id, num = kernels_numpy.factor_class_ids(n, tab)
-    else:
-        table = kernels_numpy.perm_table(n)
-        src, dst = kernels_numpy.subword_edges(n, tab, table, _comb_array(n, tab.c))
-        class_id, num = kernels_numpy.connected_class_ids(factorial(n), src, dst)
+    class_id, num = kernels_numpy.class_ids(n, build_tables(partition), mode)
     sizes = np.bincount(class_id, minlength=num).astype(np.int64)
     # ids follow minimal member rank: a class starts where the running max steps
     rep_ranks = np.flatnonzero(np.diff(np.maximum.accumulate(class_id), prepend=-1))

@@ -13,11 +13,15 @@ So a local rule over the m!/(m-c)! values of loc (``window_letters``)
 gives every factor edge, hit and avoider by broadcasting over
 (pre, loc, suf).
 
-``factor_class_ids`` closes these edges one letter at a time.
-
 Subword mode permutes letters at non-adjacent positions, which changes the
-digits between them, so it keeps an (n!, n) permutation table.
-Connectivity is delegated to scipy.sparse.csgraph.
+digits between them, so it rewrites the rows of an (n!, n) permutation
+table instead.
+
+``class_ids`` closes the edges of either mode one letter at a time: a
+rewrite that leaves the first letter alone acts on the rank of the other
+letters only, so each step closes the rewrites through position 0 over
+the classes of the step before.  Connectivity is delegated to
+scipy.sparse.csgraph.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 
 from .tables import PatternTables
 
-_CHUNK = 1 << 19
 _WHOLE_GRID_N = 7
 
 
@@ -149,61 +152,64 @@ def factor_edges(n: int, tab: PatternTables, first_only: bool = False):
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
-def factor_class_ids(n: int, tab: PatternTables) -> tuple[np.ndarray, int]:
-    """Factor-mode class id of every rank of S_n, ids following each class's
-    minimal rank, built up one letter at a time.
+def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, int]:
+    """Class id of every rank of S_n in the given mode, ids following each
+    class's minimal rank, built up one letter at a time.
 
     Rank r of S_k is ``d * (k-1)! + t``: d is its first digit and t the
-    rank in S_{k-1} of its last k-1 letters, standardized.  Every window
-    but the first acts on t alone and keeps d, so the closure of those
-    windows maps r to the node ``d * C + cls[t]``, where cls holds the C
-    class ids of S_{k-1}.  Closing the first window's edges over these
+    rank in S_{k-1} of its last k-1 letters, standardized.  A rewrite that
+    leaves position 0 alone keeps d and acts on t as the same rewrite
+    shifted one position left: in factor mode every window but the first,
+    in subword mode every index set without position 0.  So the closure of
+    those rewrites maps r to the node ``d * C + cls[t]``, where cls holds
+    the C class ids of S_{k-1}, and closing the remaining edges (the first
+    window, or the C(k-1, c-1) index sets through position 0) over these
     k * C nodes gives the classes of S_k.  Node order is minimal-rank
     order, so the component ids of connected_class_ids follow minimal rank.
-    The graphs closed have k * C nodes and one window's edges, where the
-    whole-grid graph has n! nodes and every window's edges.  Up to
-    _WHOLE_GRID_N letters the whole grid is closed at once: that one call
-    costs less than a call per letter.
+    Up to _WHOLE_GRID_N letters the whole grid is closed at once: that one
+    call costs less than a call per letter.
     """
     base = min(n, _WHOLE_GRID_N)
-    cls, num = connected_class_ids(factorial(base), *factor_edges(base, tab))
+    cls, num = connected_class_ids(factorial(base), *_edges(base, tab, mode, False))
     for k in range(base + 1, n + 1):
         node = ((np.arange(k, dtype=np.int32) * num)[:, None] + cls).ravel()
-        src, dst = factor_edges(k, tab, first_only=True)
+        src, dst = _edges(k, tab, mode, True)
         comp, num = connected_class_ids(k * num, node[src], node[dst])
         cls = comp[node]
     return cls, num
 
 
+def _edges(k: int, tab: PatternTables, mode: str, first_only: bool):
+    """The edges of S_k: of every window or index set, or of those through
+    position 0 only, if first_only."""
+    if mode == "factor":
+        return factor_edges(k, tab, first_only)
+    combs = [s for s in itertools.combinations(range(k), tab.c) if s[0] == 0 or not first_only]
+    combs = np.array(combs, dtype=np.int64).reshape(len(combs), tab.c)
+    return subword_edges(k, tab, perm_table(k), combs)
+
+
 def subword_edges(n: int, tab: PatternTables, table: np.ndarray, combs: np.ndarray):
-    """All undirected subword-transformation edges as (src, dst) rank arrays."""
-    c = tab.c
+    """Undirected subword-transformation edges at the index sets in the rows
+    of combs, as (src, dst) rank arrays: each row of the permutation table
+    whose letters there form a nontrivial pattern is rewritten and ranked."""
+    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
     fact = _fact_vec(n)
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
-    nontrivial = np.nonzero(tab.part_id >= 0)[0]
-    for ci in range(combs.shape[0]):
-        idx = combs[ci]
-        win = table[:, idx].astype(np.int64)
+    for idx in combs:
+        win = table[:, idx]
         pid = _window_pattern_ids(win, tab.cfact)
-        for t in nontrivial:
-            lo, hi = tab.partners_ptr[t], tab.partners_ptr[t + 1]
-            if lo == hi:
-                continue
-            rows_all = np.nonzero(pid == t)[0]
-            for s in range(0, len(rows_all), _CHUNK):
-                rows = rows_all[s : s + _CHUNK]
-                if not len(rows):
-                    continue
-                sw = np.sort(win[rows], axis=1)
-                for q in tab.partners_idx[lo:hi]:
-                    modified = table[rows].astype(np.int64)
-                    for j in range(c):
-                        modified[:, idx[j]] = sw[:, tab.pat_onel[q, j] - 1]
-                    src_parts.append(rows)
-                    dst_parts.append(rank_rows(modified, fact))
+        for t in np.flatnonzero(np.diff(tab.partners_ptr)):
+            rows = np.flatnonzero(pid == t)
+            ordered = np.sort(win[rows], axis=1)
+            for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]]:
+                modified = table[rows]
+                modified[:, idx] = ordered[:, tab.pat_onel[q] - 1]
+                src_parts.append(rows.astype(dtype))
+                dst_parts.append(rank_rows(modified, fact).astype(dtype))
     if not src_parts:
-        empty = np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=dtype)
         return empty, empty
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 

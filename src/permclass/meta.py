@@ -89,11 +89,6 @@ class StoogeSets:
         }
 
 
-def global_minima(partition: ReplacementPartition) -> tuple[Perm, ...]:
-    """Lexicographic minima of the nontrivial parts (the D set)."""
-    return partition.D
-
-
 def count_U_avoiders(n: int, partition: ReplacementPartition) -> int:
     """A_n: permutations avoiding every U pattern as a factor."""
     return engine.count_avoiders(n, partition.c, partition.U)
@@ -111,18 +106,9 @@ def repeated_down_jump(
     depend on the strategy.
     """
     cur = tuple(p)
-    c = partition.c
-    while True:
-        sites = []
-        for i in range(len(cur) - c + 1):
-            pat = perms.standardize(cur[i : i + c])
-            j = partition.part_index(pat)
-            if j is not None and pat != partition.nontrivial_parts[j][0]:
-                sites.append((i, partition.nontrivial_parts[j][0]))
-        if not sites:
-            return cur
-        i, d = sites[0] if strategy == "leftmost" else sites[-1]
-        cur = relation._rewrite(cur, range(i, i + c), d)
+    while jumps := relation.down_jumps(cur, partition):
+        cur = jumps[0] if strategy == "leftmost" else jumps[-1]
+    return cur
 
 
 def _check_range(k: int, check_to: int | None) -> None:

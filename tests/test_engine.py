@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from math import factorial
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import permclass
 from permclass import engine, oracle, perms, relation
 from permclass.engine import kernels_numpy as kn
 from permclass.engine.tables import build_tables
@@ -113,17 +117,25 @@ def test_backends_identical(knuth_like):
 
 
 @pytest.mark.parametrize("whole_grid_n", [1, kn._WHOLE_GRID_N])
-def test_factor_class_ids_match_whole_grid_closure(monkeypatch, whole_grid_n):
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_class_ids_match_whole_grid_closure(monkeypatch, mode, whole_grid_n):
     # the closure built one letter at a time, from S_1 and from the default
-    # base, against csgraph over every window's edges at once, for every
-    # registered relation and c = 2, 4
+    # base, against csgraph over every window's (index set's) edges at once,
+    # for every registered relation and c = 2, 4.  Subword mode stops at
+    # n=7 (its whole-grid reference at n=8 takes about 5 s over these
+    # relations), so there the per-letter steps are checked from S_1.
     monkeypatch.setattr(kn, "_WHOLE_GRID_N", whole_grid_n)
     keys = [*oracle.relation_keys(), "{12,21}", "{1234,1243}{2134,2143}", "{1234,4321}"]
     for key in keys:
         tab = build_tables(relation.parse_partition(key))
-        for n in range(1, 9):
-            class_id, num = kn.factor_class_ids(n, tab)
-            expected, expected_num = kn.connected_class_ids(factorial(n), *kn.factor_edges(n, tab))
+        for n in range(1, 9 if mode == "factor" else 8):
+            class_id, num = kn.class_ids(n, tab, mode)
+            if mode == "factor":
+                edges = kn.factor_edges(n, tab)
+            else:
+                combs = np.array(list(itertools.combinations(range(n), tab.c))).reshape(-1, tab.c)
+                edges = kn.subword_edges(n, tab, kn.perm_table(n), combs)
+            expected, expected_num = kn.connected_class_ids(factorial(n), *edges)
             assert class_id.dtype == np.int32
             assert np.array_equal(class_id, expected) and num == expected_num, (key, n)
 
@@ -310,6 +322,41 @@ def test_ram_check(knuth_like, monkeypatch, capsys):
     monkeypatch.setattr(engine, "_available_bytes", lambda: None)
     assert engine.enumerate_classes(5, knuth_like, allow_large=True).num_classes == expected
     assert capsys.readouterr().err == "permclass: available memory unknown; RAM check skipped\n"
+
+
+_GROWTH = """
+import sys
+from permclass import engine, relation
+
+
+def peak_rss():
+    # VmHWM rather than ru_maxrss: across exec, ru_maxrss keeps the RSS of
+    # the process that spawned this one (here the test runner)
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+
+n, mode, K = int(sys.argv[1]), sys.argv[2], relation.parse_partition(sys.argv[3])
+engine.enumerate_classes(5, K, mode)
+before = peak_rss()
+engine.enumerate_classes(n, K, mode)
+print(peak_rss() - before)
+"""
+
+
+@pytest.mark.parametrize("n, mode, key", [
+    (10, "factor", "{132,231}{213,312}"),
+    (8, "subword", "{123,132,213,231}"),
+])
+def test_estimate_bytes_bounds_measured_growth(n, mode, key):
+    # the peak-RSS growth of one enumeration in a fresh process, after a
+    # warm n=5 run has paid for the imports
+    src = os.path.dirname(os.path.dirname(permclass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _GROWTH, str(n), mode, key], env=env,
+                         capture_output=True, text=True, check=True)
+    growth = int(out.stdout)
+    assert growth <= engine.estimate_bytes(n, mode) <= 4 * growth
 
 
 @lru_cache(maxsize=None)
