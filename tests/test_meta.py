@@ -18,6 +18,15 @@ def test_count_u_avoiders():
         assert meta.count_U_avoiders(n, full) == scan == 1
 
 
+def test_global_minima():
+    # the global minima of the parts with more than one member (the D set)
+    K = relation.parse_partition("{123,321}{132,231}")
+    assert K.D == ((1, 2, 3), (1, 3, 2))
+    K2 = relation.parse_partition("{213,231,312}")
+    assert K2.D == ((2, 1, 3),)
+    assert relation.singleton_partition(3).D == ()
+
+
 def test_avoider_criterion_holds():
     for key in ("{123,132}{213,231}", "{123,132,231}"):
         rep = meta.avoider_criterion(relation.parse_partition(key), 5, check_to=8)

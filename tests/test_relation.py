@@ -49,8 +49,6 @@ def test_parse_singleton_listed_part_warns():
 
 def test_d_and_u_sets(knuth_like):
     assert knuth_like.D == ((1, 2, 3), (1, 3, 2))
-    assert relation.parse_partition("{213,231,312}").D == ((2, 1, 3),)
-    assert relation.singleton_partition(3).D == ()
     assert set(knuth_like.U) == {(3, 2, 1), (2, 3, 1)}
 
 
