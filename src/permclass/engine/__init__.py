@@ -10,8 +10,10 @@ letters as the same rewrite in S_{k-1}: every window but the first in
 factor mode, every index set without position 0 in subword mode.  Only
 the edge source differs: factor mode reads the Lehmer-digit grid with no
 permutation table, subword mode rewrites the rows of a permutation
-table.  scipy.sparse.csgraph does the closing.  ``hit_mask`` and the
-avoider counts use the same digit grid.
+table.  Each step is closed one window or index set at a time by root
+hooking over one int32 root array, so no step holds more than one
+batch's edges.  ``hit_mask`` and the avoider counts use the same digit
+grid.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
@@ -23,7 +25,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,19 +114,14 @@ def estimate_bytes(n: int, mode: Mode = "factor") -> int:
     (or the whole grid, up to kernels_numpy._WHOLE_GRID_N letters).
 
     Per rank: the int32 node and class arrays and their copies while the
-    ids are ordered, 24 B; in subword mode also the int8 permutation table
+    ids are numbered, 24 B; in subword mode also the int8 permutation table
     row and one index set's pattern-id scan, n + 24 B.  Per edge: its int32
-    ends, their node images and csgraph's copies of them, 40 B.  The edges
-    are taken as one per rank and rewrite site (window or index set of
-    three positions) that the step closes: a part of four patterns of S_3
-    gives as many.
+    ends, their node and root images and the surviving pairs, 40 B.  The
+    closure holds one batch (window or index set) at a time, taken as one
+    edge per rank: a part of four patterns of S_3 gives as many.
     """
-    whole = n <= kernels_numpy._WHOLE_GRID_N
-    if mode == "factor":
-        per_rank, sites = 24, max(n - 2, 0) if whole else 1
-    else:
-        per_rank, sites = 48 + n, comb(n, 3) if whole else comb(n - 1, 2)
-    return factorial(n) * (per_rank + 40 * sites)
+    per_rank = 24 if mode == "factor" else 48 + n
+    return factorial(n) * (per_rank + 40)
 
 
 def _check_bounds(n: int, mode: Mode, allow_large: bool) -> None:

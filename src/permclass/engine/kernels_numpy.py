@@ -20,13 +20,16 @@ table instead.
 ``class_ids`` closes the edges of either mode one letter at a time: a
 rewrite that leaves the first letter alone acts on the rank of the other
 letters only, so each step closes the rewrites through position 0 over
-the classes of the step before.  Connectivity is delegated to
-scipy.sparse.csgraph.
+the classes of the step before.  ``connected_class_ids`` closes a step's
+edges one batch (window or index set) at a time by root hooking and
+pointer jumping over one int32 root array, so no step holds more than
+one batch's edges.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import factorial
 
@@ -126,30 +129,19 @@ def _window_pairs(m: int, tab: PatternTables) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(a_parts), np.concatenate(b_parts)
 
 
-def factor_edges(n: int, tab: PatternTables, first_only: bool = False):
-    """Undirected factor-transformation edges of every window (of the first
-    window only, if first_only) as (src, dst) rank arrays, broadcast over
-    the digit grid: ``pre * m! + loc * (m-c)! + suf`` for the local edges
-    (a, b) of each window."""
+def factor_edges(n: int, tab: PatternTables, i: int):
+    """Undirected factor-transformation edges of the window starting at
+    position i as (src, dst) rank arrays, broadcast over the digit grid:
+    ``pre * m! + loc * (m-c)! + suf`` for the window's local edges (a, b)."""
     dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    windows = n - tab.c + 1
-    for i in range(min(windows, 1) if first_only else windows):
-        m = n - i
-        a, b = _window_pairs(m, tab)
-        if not len(a):
-            continue
-        stride = factorial(m - tab.c)
-        pre = np.arange(factorial(n) // factorial(m), dtype=dtype) * factorial(m)
-        pre = pre[:, None, None]
-        suf = np.arange(stride, dtype=dtype)
-        for loc, parts in ((a, src_parts), (b, dst_parts)):
-            parts.append((pre + (loc.astype(dtype) * stride)[:, None] + suf).ravel())
-    if not src_parts:
-        empty = np.empty(0, dtype=dtype)
-        return empty, empty
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
+    m = n - i
+    stride = factorial(m - tab.c)
+    pre = np.arange(factorial(n) // factorial(m), dtype=dtype) * factorial(m)
+    suf = np.arange(stride, dtype=dtype)
+    return tuple(
+        (pre[:, None, None] + (loc.astype(dtype) * stride)[:, None] + suf).ravel()
+        for loc in _window_pairs(m, tab)
+    )
 
 
 def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, int]:
@@ -166,51 +158,50 @@ def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, int]:
     window, or the C(k-1, c-1) index sets through position 0) over these
     k * C nodes gives the classes of S_k.  Node order is minimal-rank
     order, so the component ids of connected_class_ids follow minimal rank.
-    Up to _WHOLE_GRID_N letters the whole grid is closed at once: that one
-    call costs less than a call per letter.
+    Up to _WHOLE_GRID_N letters every window (index set) of the whole grid
+    is closed in one call: that costs less than a call per letter.
     """
     base = min(n, _WHOLE_GRID_N)
-    cls, num = connected_class_ids(factorial(base), *_edges(base, tab, mode, False))
+    cls, num = connected_class_ids(factorial(base), _batches(base, tab, mode, False))
     for k in range(base + 1, n + 1):
         node = ((np.arange(k, dtype=np.int32) * num)[:, None] + cls).ravel()
-        src, dst = _edges(k, tab, mode, True)
-        comp, num = connected_class_ids(k * num, node[src], node[dst])
+        comp, num = connected_class_ids(k * num, _batches(k, tab, mode, True), node)
         cls = comp[node]
     return cls, num
 
 
-def _edges(k: int, tab: PatternTables, mode: str, first_only: bool):
-    """The edges of S_k: of every window or index set, or of those through
-    position 0 only, if first_only."""
+def _batches(k: int, tab: PatternTables, mode: str, first_only: bool) -> Iterator:
+    """The edges of S_k one window or index set at a time: of every one, or
+    of those through position 0 only, if first_only."""
     if mode == "factor":
-        return factor_edges(k, tab, first_only)
-    combs = [s for s in itertools.combinations(range(k), tab.c) if s[0] == 0 or not first_only]
-    combs = np.array(combs, dtype=np.int64).reshape(len(combs), tab.c)
-    return subword_edges(k, tab, perm_table(k), combs)
+        windows = range(k - tab.c + 1)
+        for i in windows[:1] if first_only else windows:
+            yield factor_edges(k, tab, i)
+        return
+    table = perm_table(k)
+    for idx in itertools.combinations(range(k), tab.c):
+        if idx[0] == 0 or not first_only:
+            yield subword_edges(k, tab, table, list(idx))
 
 
-def subword_edges(n: int, tab: PatternTables, table: np.ndarray, combs: np.ndarray):
-    """Undirected subword-transformation edges at the index sets in the rows
-    of combs, as (src, dst) rank arrays: each row of the permutation table
-    whose letters there form a nontrivial pattern is rewritten and ranked."""
+def subword_edges(n: int, tab: PatternTables, table: np.ndarray, idx: list[int]):
+    """Undirected subword-transformation edges at the index set idx, as
+    (src, dst) rank arrays: each row of the permutation table whose letters
+    there form a nontrivial pattern is rewritten and ranked."""
     dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
     fact = _fact_vec(n)
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    for idx in combs:
-        win = table[:, idx]
-        pid = _window_pattern_ids(win, tab.cfact)
-        for t in np.flatnonzero(np.diff(tab.partners_ptr)):
-            rows = np.flatnonzero(pid == t)
-            ordered = np.sort(win[rows], axis=1)
-            for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]]:
-                modified = table[rows]
-                modified[:, idx] = ordered[:, tab.pat_onel[q] - 1]
-                src_parts.append(rows.astype(dtype))
-                dst_parts.append(rank_rows(modified, fact).astype(dtype))
-    if not src_parts:
-        empty = np.empty(0, dtype=dtype)
-        return empty, empty
+    src_parts = [np.empty(0, dtype=dtype)]
+    dst_parts = [np.empty(0, dtype=dtype)]
+    win = table[:, idx]
+    pid = _window_pattern_ids(win, tab.cfact)
+    for t in np.flatnonzero(np.diff(tab.partners_ptr)):
+        rows = np.flatnonzero(pid == t)
+        ordered = np.sort(win[rows], axis=1)
+        for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]]:
+            modified = table[rows]
+            modified[:, idx] = ordered[:, tab.pat_onel[q] - 1]
+            src_parts.append(rows.astype(dtype))
+            dst_parts.append(rank_rows(modified, fact).astype(dtype))
     return np.concatenate(src_parts), np.concatenate(dst_parts)
 
 
@@ -231,17 +222,33 @@ def count_banned_avoiders(n: int, c: int, banned: np.ndarray) -> int:
     return int(np.count_nonzero(~window_hits(n, c, banned).any(axis=1)))
 
 
-def connected_class_ids(total: int, src: np.ndarray, dst: np.ndarray):
-    """Component labels relabeled so ids follow each class's minimal rank."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+def connected_class_ids(total: int, batches: Iterable, node: np.ndarray | None = None):
+    """Connected components of the nodes 0..total-1 under the edges of
+    every (src, dst) batch, mapped through node if given, as (ids, num):
+    ids follow each component's minimal node.
 
-    graph = coo_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(total, total)
-    )
-    ncomp, labels = connected_components(graph, directed=False)
-    first = np.full(ncomp, total, dtype=np.int64)
-    np.minimum.at(first, labels, np.arange(total, dtype=np.int64))
-    new_of_old = np.empty(ncomp, dtype=np.int64)
-    new_of_old[np.argsort(first, kind="stable")] = np.arange(ncomp)
-    return new_of_old[labels].astype(np.int32), ncomp
+    One int32 root array, root[x] <= x, is closed batch by batch: map the
+    batch's ends to their roots, keep the edges whose roots differ, hook
+    the larger root of each to the smallest it meets (np.minimum.at), jump
+    pointers (root = root[root]) until nothing changes, and repeat on the
+    surviving edges (Shiloach & Vishkin 1982).  A root then is its
+    component's minimal node whatever the batch order, so numbering the
+    roots in node order gives the ids with no sort.
+    """
+    root = np.arange(total, dtype=np.int32)
+    for src, dst in batches:
+        lo, hi = (src, dst) if node is None else (node[src], node[dst])
+        while len(lo):
+            lo, hi = root[lo], root[hi]
+            keep = lo != hi
+            lo, hi = lo[keep], hi[keep]
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+            np.minimum.at(root, hi, lo)
+            while True:
+                jumped = root[root]
+                if np.array_equal(jumped, root):
+                    break
+                root = jumped
+    is_root = root == np.arange(total, dtype=np.int32)
+    ids = np.cumsum(is_root, dtype=np.int32) - 1
+    return ids[root], int(np.count_nonzero(is_root))

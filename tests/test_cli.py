@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import permclass
 from permclass import cli, oracle
 
 
@@ -228,3 +232,24 @@ def test_bad_value_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_NO_SCIPY = """
+import sys
+from permclass import cli
+
+for mode in ("factor", "subword"):
+    assert cli.main(["count", "--partition", "{132,231}{213,312}", "--n", "8", "--mode", mode]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), file=sys.stderr)
+"""
+
+
+def test_count_does_not_import_scipy():
+    # the engine closes the classes with numpy alone; scipy is only the
+    # tests' independent closure, so a count request must not load it
+    src = os.path.dirname(os.path.dirname(permclass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
+                         capture_output=True, text=True, check=True)
+    assert "num_classes=" in out.stdout
+    assert out.stderr == "[]\n"

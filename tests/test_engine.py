@@ -11,6 +11,8 @@ from math import factorial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import permclass
 from permclass import engine, oracle, perms, relation
@@ -93,6 +95,27 @@ def test_worker_counts_identical(knuth_like):
         assert np.array_equal(base.class_sizes, other.class_sizes)
 
 
+def _csgraph_class_ids(total, src, dst):
+    """Independent closure: scipy's connected components, numbered in the
+    order of each component's minimal node."""
+    graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(total, total))
+    num, labels = connected_components(graph, directed=False)
+    first = np.full(num, total)
+    np.minimum.at(first, labels, np.arange(total))
+    order = np.empty(num, dtype=np.int64)
+    order[np.argsort(first)] = np.arange(num)
+    return order[labels], num
+
+
+def _concat(batches):
+    """One (src, dst) edge list from (src, dst) batches."""
+    src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for s, d in batches:
+        src.append(s)
+        dst.append(d)
+    return np.concatenate(src), np.concatenate(dst)
+
+
 def _edge_set(src, dst):
     pairs = np.sort(np.stack([src, dst], axis=1).astype(np.int64), axis=1)
     return np.unique(pairs, axis=0)
@@ -108,10 +131,12 @@ def test_backends_identical(knuth_like):
         tab = build_tables(K)
         for n in range(K.c, 8):
             dec = engine.enumerate_classes(n, K)
-            windows = np.array([range(i, i + K.c) for i in range(n - K.c + 1)])
-            src, dst = kn.subword_edges(n, tab, kn.perm_table(n), windows)
-            assert np.array_equal(_edge_set(*kn.factor_edges(n, tab)), _edge_set(src, dst))
-            class_id, num = kn.connected_class_ids(factorial(n), src, dst)
+            table, windows = kn.perm_table(n), range(n - K.c + 1)
+            src, dst = _concat(kn.subword_edges(n, tab, table, list(range(i, i + K.c)))
+                               for i in windows)
+            grid = _concat(kn.factor_edges(n, tab, i) for i in windows)
+            assert np.array_equal(_edge_set(*grid), _edge_set(src, dst))
+            class_id, num = _csgraph_class_ids(factorial(n), src, dst)
             assert np.array_equal(dec.class_id, class_id), (key, n)
             assert dec.num_classes == num
 
@@ -120,7 +145,7 @@ def test_backends_identical(knuth_like):
 @pytest.mark.parametrize("mode", ["factor", "subword"])
 def test_class_ids_match_whole_grid_closure(monkeypatch, mode, whole_grid_n):
     # the closure built one letter at a time, from S_1 and from the default
-    # base, against csgraph over every window's (index set's) edges at once,
+    # base, against scipy's csgraph over every window's (index set's) edges,
     # for every registered relation and c = 2, 4.  Subword mode stops at
     # n=7 (its whole-grid reference at n=8 takes about 5 s over these
     # relations), so there the per-letter steps are checked from S_1.
@@ -131,13 +156,70 @@ def test_class_ids_match_whole_grid_closure(monkeypatch, mode, whole_grid_n):
         for n in range(1, 9 if mode == "factor" else 8):
             class_id, num = kn.class_ids(n, tab, mode)
             if mode == "factor":
-                edges = kn.factor_edges(n, tab)
+                batches = [kn.factor_edges(n, tab, i) for i in range(n - tab.c + 1)]
             else:
-                combs = np.array(list(itertools.combinations(range(n), tab.c))).reshape(-1, tab.c)
-                edges = kn.subword_edges(n, tab, kn.perm_table(n), combs)
-            expected, expected_num = kn.connected_class_ids(factorial(n), *edges)
+                table = kn.perm_table(n)
+                batches = [kn.subword_edges(n, tab, table, list(idx))
+                           for idx in itertools.combinations(range(n), tab.c)]
+            expected, expected_num = _csgraph_class_ids(factorial(n), *_concat(batches))
             assert class_id.dtype == np.int32
             assert np.array_equal(class_id, expected) and num == expected_num, (key, n)
+
+
+@st.composite
+def _multigraphs(draw):
+    """A node count, an optional node map and batches of edges over it,
+    with self-loops, duplicate and reversed edges and empty batches."""
+    total = draw(st.integers(1, 40))
+    node = None
+    ends = total
+    if draw(st.booleans()):
+        ends = draw(st.integers(1, 60))
+        node = np.array(draw(st.lists(st.integers(0, total - 1), min_size=ends, max_size=ends)),
+                        dtype=np.int32)
+    batches = []
+    for _ in range(draw(st.integers(0, 6))):
+        pairs = draw(st.lists(st.tuples(st.integers(0, ends - 1), st.integers(0, ends - 1)),
+                              max_size=30))
+        if pairs:
+            pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))]
+        pairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+        batches.append((pairs[:, 0], pairs[:, 1]))
+    return total, node, batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraphs())
+def test_connected_class_ids_match_csgraph(graph):
+    total, node, batches = graph
+    src, dst = _concat(batches)
+    if node is not None:
+        src, dst = node[src], node[dst]
+    expected, expected_num = _csgraph_class_ids(total, src, dst)
+    ids, num = kn.connected_class_ids(total, iter(batches), node)
+    assert ids.dtype == np.int32
+    assert np.array_equal(ids, expected) and num == expected_num
+
+
+def test_connected_class_ids_independent_of_batch_order():
+    # the windows of S_8 under Figure 2's relation and a random multigraph
+    # over 500 nodes, closed with the batches shuffled and the ends of a
+    # random half of the edges swapped
+    rng = np.random.default_rng(8)
+    tab = build_tables(relation.parse_partition("{132,231}{213,312}"))
+    cases = [(factorial(8), [kn.factor_edges(8, tab, i) for i in range(6)])]
+    edges = rng.integers(0, 500, size=(20, 2, 15)).astype(np.int32)
+    cases.append((500, [(s, d) for s, d in edges]))
+    for total, batches in cases:
+        ids, num = kn.connected_class_ids(total, batches)
+        for _ in range(3):
+            swapped = []
+            for i in rng.permutation(len(batches)):
+                src, dst = batches[i]
+                flip = rng.random(len(src)) < 0.5
+                swapped.append((np.where(flip, dst, src), np.where(flip, src, dst)))
+            other, other_num = kn.connected_class_ids(total, swapped)
+            assert np.array_equal(ids, other) and num == other_num
 
 
 def test_unknown_backend_refused(knuth_like):
@@ -347,6 +429,7 @@ print(peak_rss() - before)
 @pytest.mark.parametrize("n, mode, key", [
     (10, "factor", "{132,231}{213,312}"),
     (8, "subword", "{123,132,213,231}"),
+    (8, "subword", "{123,321}{132,231}"),
 ])
 def test_estimate_bytes_bounds_measured_growth(n, mode, key):
     # the peak-RSS growth of one enumeration in a fresh process, after a
