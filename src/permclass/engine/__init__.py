@@ -2,18 +2,19 @@
 
 The decomposition runs over the dense Lehmer-rank space 0..n!-1 and
 gives every rank a class id; the ids follow each class's minimal member
-rank.  Both modes run one closure (kernels_numpy.class_ids): past 7
-letters it closes the classes of S_8, ..., S_n in turn, each with the
-rewrites through the first position over the classes of the one before.
-A rewrite that leaves the first letter alone acts on the last k-1
-letters as the same rewrite in S_{k-1}: every window but the first in
-factor mode, every index set without position 0 in subword mode.  Only
-the edge source differs: factor mode reads the Lehmer-digit grid with no
-permutation table, subword mode rewrites the rows of a permutation
-table.  Each step is closed one window or index set at a time by root
-hooking over one int32 root array, so no step holds more than one
-batch's edges.  ``hit_mask`` and the avoider counts use the same digit
-grid.
+rank.  Both modes run one closure (kernels_numpy.class_ids): it closes
+the classes of S_2, ..., S_n in turn, each with the rewrites through the
+first position over the classes of the one before.  A rewrite that
+leaves the first letter alone acts on the last k-1 letters as the same
+rewrite in S_{k-1}: every window but the first in factor mode, every
+index set without position 0 in subword mode.  Both modes read their
+edges from the Lehmer-digit grid: a rewrite changes only the digits from
+its first to its last rewritten position, so a local rule over those
+digits, broadcast over the others, gives every edge of a window or an
+index set (kernels_numpy.factor_edges, subword_edges).  Each step is closed
+one window or index set at a time by root hooking over one int32 root
+array, so no step holds more than one batch's edges.  ``hit_mask`` and
+the avoider counts use the same digit grid.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
@@ -22,6 +23,7 @@ against the available RAM (and PERMCLASS_MEMORY_CAP_MB, if set).
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -104,48 +106,56 @@ class ClassDecomposition:
 
 def _memory_cap_bytes() -> int | None:
     env = os.environ.get("PERMCLASS_MEMORY_CAP_MB", "").strip()
-    if env:
-        return int(float(env) * 1024 * 1024)
-    return None
+    if not env:
+        return None
+    try:
+        cap = float(env)
+    except ValueError:
+        cap = math.nan
+    if not math.isfinite(cap) or cap <= 0:
+        raise ValueError(
+            f"PERMCLASS_MEMORY_CAP_MB must be a finite positive number of MiB, got {env!r}"
+        )
+    return int(cap * 1024 * 1024)
 
 
 def estimate_bytes(n: int, mode: Mode = "factor") -> int:
-    """Rough peak memory of enumerate_classes, from the step that closes S_n
-    (or the whole grid, up to kernels_numpy._WHOLE_GRID_N letters).
+    """Rough peak memory of enumerate_classes, from the step that closes S_n.
 
     Per rank: the int32 node and class arrays and their copies while the
-    ids are numbered, 24 B; in subword mode also the int8 permutation table
-    row and one index set's pattern-id scan, n + 24 B.  Per edge: its int32
-    ends, their node and root images and the surviving pairs, 40 B.  The
-    closure holds one batch (window or index set) at a time, taken as one
-    edge per rank: a part of four patterns of S_3 gives as many.
+    ids are numbered, 24 B; in subword mode also the int8 local rows of the
+    index sets through position 0 and one index set's pattern-id scan,
+    n + 24 B.  Per edge: its int32 ends, their node and root images and the
+    surviving pairs, 40 B.  The closure holds one batch (window or index
+    set) at a time, taken as one edge per rank: a part of four patterns of
+    S_3 gives as many.
     """
     per_rank = 24 if mode == "factor" else 48 + n
     return factorial(n) * (per_rank + 40)
 
 
 def _check_bounds(n: int, mode: Mode, allow_large: bool) -> None:
+    """Refuse n past the mode's bound, then an estimate past the memory cap
+    or the available RAM.  Past the large bound no estimate is computed."""
     bound = (LARGE_MAX_N if allow_large else DEFAULT_MAX_N)[mode]
-    est = estimate_bytes(n, mode)
     if n > bound:
-        hint = "" if allow_large else "; pass allow_large (or --allow-large) to raise the bound"
-        raise ResourceLimitError(
-            f"n={n} exceeds the {mode}-mode bound {bound} "
-            f"(estimated {est / 1e6:.0f} MB needed{hint})"
-        )
+        hint = ""
+        if n <= LARGE_MAX_N[mode]:
+            hint = (f" (estimated {estimate_bytes(n, mode) // 10**6} MB needed;"
+                    " pass allow_large (or --allow-large) to raise the bound)")
+        raise ResourceLimitError(f"n={n} exceeds the {mode}-mode bound {bound}{hint}")
+    est = estimate_bytes(n, mode)
     cap = _memory_cap_bytes()
     if cap is not None and est > cap:
-        raise ResourceLimitError(
-            f"estimated {est / 1e6:.0f} MB exceeds PERMCLASS_MEMORY_CAP_MB"
-        )
+        raise ResourceLimitError(f"estimated {est // 10**6} MB exceeds PERMCLASS_MEMORY_CAP_MB")
     if allow_large and n > DEFAULT_MAX_N[mode]:
         avail = _available_bytes()
         if avail is None:
             print("permclass: available memory unknown; RAM check skipped", file=sys.stderr)
         elif est > avail:
             raise ResourceLimitError(
-                f"estimated {est / 1e6:.0f} MB exceeds available memory "
-                f"({avail / 1e6:.0f} MB); refusing"
+                f"estimated {est // 10**6} MB exceeds available memory "
+                f"({avail // 10**6} MB); refusing"
             )
 
 

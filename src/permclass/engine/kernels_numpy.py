@@ -1,29 +1,29 @@
 """numpy kernels of the enumeration engine.
 
-Factor mode runs on the Lehmer-digit grid and builds no permutation table.
-The rank of p in S_n is a mixed-radix number whose digit j (radix n-j)
-counts the later letters smaller than p_j.  For the length-c window that
-starts at position i, with m = n-i letters from there on, the rank splits
-as ``pre * m! + loc * (m-c)! + suf``: pre reads the digits before the
-window, loc its c digits and suf the digits after it.  The window's pattern
-and the loc of every rewrite of it are functions of loc alone, because a
-rewrite only permutes the window's letters: every letter keeps the set of
-letters after it outside the window, and the letters outside keep theirs.
-So a local rule over the m!/(m-c)! values of loc (``window_letters``)
-gives every factor edge, hit and avoider by broadcasting over
-(pre, loc, suf).
+Both modes read their edges from the Lehmer-digit grid.  The rank of p in
+S_n is a mixed-radix number whose digit j (radix n-j) counts the later
+letters smaller than p_j.  A rewrite at the index set idx permutes the
+letters at idx; let i = idx[0], span = idx[-1] - i + 1 and m = n - i.
+The rank splits as ``pre * m! + loc * (m-span)! + suf``: pre reads the
+digits before position i, loc the span digits from i on, suf the digits
+after idx[-1].  The rewrite changes loc alone, as a function of loc
+alone: loc fixes the first span letters of the last m, standardized
+(``window_letters``), and the rewrite permutes some of them, while the
+letters before i and after idx[-1] keep the set of letters after them.
+So a local rule over the m!/(m-span)! values of loc gives every edge of a
+window (factor mode, span = c) or an index set (subword mode) by
+broadcasting over (pre, loc, suf); the hits and avoiders of factor mode
+read the same grid.  In subword mode the index sets that end at the last
+position have span m, so their local rule is S_m itself; it is built
+once per span (``perm_table(m, span)``) and only the last one is kept.
 
-Subword mode permutes letters at non-adjacent positions, which changes the
-digits between them, so it rewrites the rows of an (n!, n) permutation
-table instead.
-
-``class_ids`` closes the edges of either mode one letter at a time: a
-rewrite that leaves the first letter alone acts on the rank of the other
-letters only, so each step closes the rewrites through position 0 over
-the classes of the step before.  ``connected_class_ids`` closes a step's
-edges one batch (window or index set) at a time by root hooking and
-pointer jumping over one int32 root array, so no step holds more than
-one batch's edges.
+``class_ids`` closes the edges of either mode one letter at a time, from
+S_1: a rewrite that leaves the first letter alone acts on the rank of the
+other letters only, so each step closes the rewrites through position 0
+over the classes of the step before.  ``connected_class_ids`` closes a
+step's edges one batch (window or index set) at a time by root hooking and
+pointer jumping over one int32 root array, so no step holds more than one
+batch's edges.
 """
 
 from __future__ import annotations
@@ -37,20 +37,21 @@ import numpy as np
 
 from .tables import PatternTables
 
-_WHOLE_GRID_N = 7
 
+def perm_table(n: int, span: int | None = None) -> np.ndarray:
+    """The span-letter prefixes of S_n (all of S_n by default) in
+    lexicographic order, as an (n!/(n-span)!, span) int8/int16 array.
 
-def perm_table(n: int) -> np.ndarray:
-    """All of S_n in lexicographic order as an (n!, n) int8/int16 array.
-
-    Built block-recursively: the block of S_k with first letter a is
-    ``[a, prev + (prev >= a)]`` over the table of S_{k-1}.
+    Built block-recursively from k = n-span+1 letters up: the block of
+    prefixes of S_k with first letter a is ``[a, prev + (prev >= a)]`` over
+    the one letter shorter prefixes of S_{k-1}.
     """
+    span = n if span is None else span
     dtype = np.int8 if n <= 127 else np.int16
     table = np.zeros((1, 0), dtype=dtype)
-    for k in range(1, n + 1):
+    for k in range(n - span + 1, n + 1):
         prev, block = table, len(table)
-        table = np.empty((block * k, k), dtype=dtype)
+        table = np.empty((block * k, prev.shape[1] + 1), dtype=dtype)
         for a in range(1, k + 1):
             rows = table[(a - 1) * block : a * block]
             rows[:, 0] = a
@@ -58,95 +59,93 @@ def perm_table(n: int) -> np.ndarray:
     return table
 
 
-def _fact_vec(n: int) -> np.ndarray:
-    return np.array([factorial(i) for i in range(n + 1)], dtype=np.int64)
-
-
-def _window_pattern_ids(win: np.ndarray, cfact: np.ndarray) -> np.ndarray:
-    c = win.shape[1]
-    pid = np.zeros(len(win), dtype=np.int64)
-    for j in range(c):
-        d = np.zeros(len(win), dtype=np.int64)
-        for k in range(j + 1, c):
-            d += win[:, k] < win[:, j]
-        pid += d * cfact[c - 1 - j]
-    return pid
-
-
-def rank_rows(perm_rows: np.ndarray, fact: np.ndarray) -> np.ndarray:
-    """Lehmer ranks of each row of an (m, n) permutation array."""
-    n = perm_rows.shape[1]
-    r = np.zeros(len(perm_rows), dtype=np.int64)
-    for a in range(n):
-        d = np.zeros(len(perm_rows), dtype=np.int64)
-        for b in range(a + 1, n):
-            d += perm_rows[:, b] < perm_rows[:, a]
-        r += d * fact[n - 1 - a]
-    return r
-
-
-@lru_cache(maxsize=None)
-def window_letters(m: int, c: int) -> np.ndarray:
-    """The first c letters (0-based) of a permutation of m letters, one row
-    per value of the window's digits loc: the c-prefixes of S_m in
-    lexicographic order, so row loc has digits reading loc."""
-    rows = np.array(list(itertools.permutations(range(m), c)), dtype=np.int64)
-    rows = rows.reshape(-1, c)
+@lru_cache(maxsize=1)
+def window_letters(m: int, span: int) -> np.ndarray:
+    """The first span letters (0-based) of a permutation of m letters, one
+    row per value of their digits loc: the span-prefixes of S_m in
+    lexicographic order, so row loc has digits reading loc.  Only the last
+    call is cached: at span m this is all of S_m, so callers ask for one
+    span at a time."""
+    rows = perm_table(m, span)
+    rows -= 1
     rows.flags.writeable = False
     return rows
 
 
 def local_index(letters: np.ndarray, m: int) -> np.ndarray:
     """loc of each row of window letters: digit j is letter j less the
-    earlier window letters below it, read in radix m, m-1, ..., m-c+1."""
+    earlier window letters below it, read in radix m, m-1, ..., m-span+1."""
+    cols = np.ascontiguousarray(letters.T)
     loc = np.zeros(len(letters), dtype=np.int64)
-    for j in range(letters.shape[1]):
-        smaller = sum(letters[:, k] < letters[:, j] for k in range(j))
-        loc = loc * (m - j) + letters[:, j] - smaller
+    for j in range(len(cols)):
+        digit = cols[j].copy()
+        for k in range(j):
+            digit -= cols[k] < cols[j]
+        loc = loc * (m - j) + digit
     return loc
+
+
+def _pattern_ids(letters: np.ndarray) -> np.ndarray:
+    """S_c pattern id (Lehmer rank) of each row of c distinct letters."""
+    cols = letters.T
+    c = len(cols)
+    pid = np.zeros(len(letters), dtype=np.int32)
+    for j in range(c):
+        pid *= c - j
+        for k in range(j + 1, c):
+            pid += cols[k] < cols[j]
+    return pid
 
 
 def window_pattern_ids(m: int, c: int) -> np.ndarray:
     """S_c pattern id of the window at each loc (the local rule's pattern)."""
-    return _window_pattern_ids(window_letters(m, c), _fact_vec(c))
+    return _pattern_ids(window_letters(m, c))
 
 
-def _window_pairs(m: int, tab: PatternTables) -> tuple[np.ndarray, np.ndarray]:
-    """Local edges (a, b) of a window with m letters from its start: a is a
-    loc whose pattern has a partner with a larger id, b the loc of the
-    window rewritten to that partner."""
-    pid = window_pattern_ids(m, tab.c)
-    ordered = np.sort(window_letters(m, tab.c), axis=1)
-    a_parts, b_parts = [], []
-    for t in np.nonzero(tab.part_id >= 0)[0]:
-        rows = np.nonzero(pid == t)[0]
+def _grid_edges(n: int, tab: PatternTables, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected edges of the rewrites at the index set idx as (src, dst)
+    rank arrays, ``pre * m! + loc * (m-span)! + suf`` over the local edges
+    (a, b): a is a loc whose pattern at idx has a partner with a larger id,
+    b the loc rewritten to that partner."""
+    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
+    i, m, span = idx[0], n - idx[0], idx[-1] - idx[0] + 1
+    cols = [j - i for j in idx]
+    letters = window_letters(m, span)
+    pid = _pattern_ids(letters[:, cols])
+    a_parts, b_parts = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=dtype)]
+    for t in np.flatnonzero(np.diff(tab.partners_ptr)):
+        rows = np.flatnonzero(pid == t)
+        here = letters[rows]
+        ordered = np.sort(here[:, cols], axis=1)
         for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]]:
-            a_parts.append(rows)
-            b_parts.append(local_index(ordered[rows][:, tab.pat_onel[q] - 1], m))
-    if not a_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(a_parts), np.concatenate(b_parts)
+            moved = here.copy()
+            moved[:, cols] = ordered[:, tab.pat_onel[q] - 1]
+            a_parts.append(rows.astype(dtype))
+            b_parts.append(local_index(moved, m).astype(dtype))
+    stride = factorial(m - span)
+    pre = np.arange(factorial(n) // factorial(m), dtype=dtype) * factorial(m)
+    suf = np.arange(stride, dtype=dtype)
+    return tuple(
+        (pre[:, None, None] + (np.concatenate(loc) * stride)[:, None] + suf).ravel()
+        for loc in (a_parts, b_parts)
+    )
 
 
 def factor_edges(n: int, tab: PatternTables, i: int):
     """Undirected factor-transformation edges of the window starting at
-    position i as (src, dst) rank arrays, broadcast over the digit grid:
-    ``pre * m! + loc * (m-c)! + suf`` for the window's local edges (a, b)."""
-    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
-    m = n - i
-    stride = factorial(m - tab.c)
-    pre = np.arange(factorial(n) // factorial(m), dtype=dtype) * factorial(m)
-    suf = np.arange(stride, dtype=dtype)
-    return tuple(
-        (pre[:, None, None] + (loc.astype(dtype) * stride)[:, None] + suf).ravel()
-        for loc in _window_pairs(m, tab)
-    )
+    position i, as (src, dst) rank arrays from the digit grid."""
+    return _grid_edges(n, tab, range(i, i + tab.c))
+
+
+def subword_edges(n: int, tab: PatternTables, idx):
+    """Undirected subword-transformation edges at the index set idx, as
+    (src, dst) rank arrays from the digit grid."""
+    return _grid_edges(n, tab, idx)
 
 
 def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, int]:
     """Class id of every rank of S_n in the given mode, ids following each
-    class's minimal rank, built up one letter at a time.
+    class's minimal rank, built up one letter at a time from S_1.
 
     Rank r of S_k is ``d * (k-1)! + t``: d is its first digit and t the
     rank in S_{k-1} of its last k-1 letters, standardized.  A rewrite that
@@ -158,51 +157,26 @@ def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, int]:
     window, or the C(k-1, c-1) index sets through position 0) over these
     k * C nodes gives the classes of S_k.  Node order is minimal-rank
     order, so the component ids of connected_class_ids follow minimal rank.
-    Up to _WHOLE_GRID_N letters every window (index set) of the whole grid
-    is closed in one call: that costs less than a call per letter.
     """
-    base = min(n, _WHOLE_GRID_N)
-    cls, num = connected_class_ids(factorial(base), _batches(base, tab, mode, False))
-    for k in range(base + 1, n + 1):
+    cls, num = np.zeros(1, dtype=np.int32), 1
+    for k in range(2, n + 1):
         node = ((np.arange(k, dtype=np.int32) * num)[:, None] + cls).ravel()
-        comp, num = connected_class_ids(k * num, _batches(k, tab, mode, True), node)
+        comp, num = connected_class_ids(k * num, _batches(k, tab, mode), node)
         cls = comp[node]
     return cls, num
 
 
-def _batches(k: int, tab: PatternTables, mode: str, first_only: bool) -> Iterator:
-    """The edges of S_k one window or index set at a time: of every one, or
-    of those through position 0 only, if first_only."""
+def _batches(k: int, tab: PatternTables, mode: str) -> Iterator:
+    """The edges of S_k through position 0, one window or index set at a
+    time; the index sets in order of their last position, so that those
+    with one span share their local rows."""
     if mode == "factor":
-        windows = range(k - tab.c + 1)
-        for i in windows[:1] if first_only else windows:
-            yield factor_edges(k, tab, i)
+        if k >= tab.c:
+            yield factor_edges(k, tab, 0)
         return
-    table = perm_table(k)
-    for idx in itertools.combinations(range(k), tab.c):
-        if idx[0] == 0 or not first_only:
-            yield subword_edges(k, tab, table, list(idx))
-
-
-def subword_edges(n: int, tab: PatternTables, table: np.ndarray, idx: list[int]):
-    """Undirected subword-transformation edges at the index set idx, as
-    (src, dst) rank arrays: each row of the permutation table whose letters
-    there form a nontrivial pattern is rewritten and ranked."""
-    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
-    fact = _fact_vec(n)
-    src_parts = [np.empty(0, dtype=dtype)]
-    dst_parts = [np.empty(0, dtype=dtype)]
-    win = table[:, idx]
-    pid = _window_pattern_ids(win, tab.cfact)
-    for t in np.flatnonzero(np.diff(tab.partners_ptr)):
-        rows = np.flatnonzero(pid == t)
-        ordered = np.sort(win[rows], axis=1)
-        for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]]:
-            modified = table[rows]
-            modified[:, idx] = ordered[:, tab.pat_onel[q] - 1]
-            src_parts.append(rows.astype(dtype))
-            dst_parts.append(rank_rows(modified, fact).astype(dtype))
-    return np.concatenate(src_parts), np.concatenate(dst_parts)
+    rests = itertools.combinations(range(1, k), tab.c - 1)
+    for rest in sorted(rests, key=lambda rest: rest[-1:]):
+        yield subword_edges(k, tab, (0, *rest))
 
 
 def window_hits(n: int, c: int, mask: np.ndarray) -> np.ndarray:

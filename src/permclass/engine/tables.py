@@ -19,23 +19,15 @@ from ..relation import ReplacementPartition
 @dataclass(frozen=True)
 class PatternTables:
     c: int
-    part_id: np.ndarray        # (c!,) int64, -1 for singletons
     pat_onel: np.ndarray       # (c!, c) int64 one-line letters
     partners_ptr: np.ndarray   # (c!+1,) int64 CSR offsets
     partners_idx: np.ndarray   # flat partner pattern ids (id > own id only)
-    cfact: np.ndarray          # factorials 0..c
 
 
 def build_tables(partition: ReplacementPartition) -> PatternTables:
     c = partition.c
     nc = factorial(c)
-    part_id = np.full(nc, -1, dtype=np.int64)
-    pat_onel = np.empty((nc, c), dtype=np.int64)
-    for pid, pat in enumerate(perms.all_perms(c)):
-        pat_onel[pid] = pat
-        k = partition.part_index(pat)
-        if k is not None:
-            part_id[pid] = k
+    pat_onel = np.array(list(perms.all_perms(c)), dtype=np.int64).reshape(nc, c)
     partner_lists: list[list[int]] = [[] for _ in range(nc)]
     for part in partition.nontrivial_parts:
         ids = sorted(perms.rank(p) for p in part)
@@ -47,15 +39,7 @@ def build_tables(partition: ReplacementPartition) -> PatternTables:
     idx = np.fromiter(
         (q for lst in partner_lists for q in lst), dtype=np.int64, count=int(ptr[-1])
     )
-    cfact = np.array([factorial(i) for i in range(c + 1)], dtype=np.int64)
-    return PatternTables(
-        c=c,
-        part_id=part_id,
-        pat_onel=pat_onel,
-        partners_ptr=ptr,
-        partners_idx=idx,
-        cfact=cfact,
-    )
+    return PatternTables(c=c, pat_onel=pat_onel, partners_ptr=ptr, partners_idx=idx)
 
 
 def banned_mask(c: int, patterns) -> np.ndarray:

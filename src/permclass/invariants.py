@@ -357,15 +357,7 @@ def _compact_cond1(w: Perm) -> bool:
     return _compact_cond1(perms.standardize(rest))
 
 
-def _avoids_factors(p: Sequence[int], patterns: tuple[Perm, ...]) -> bool:
-    c = len(patterns[0])
-    return all(
-        perms.standardize(p[i : i + c]) not in patterns
-        for i in range(len(p) - c + 1)
-    )
-
-
-_COMPACT_BANNED = ((1, 2, 3), (2, 1, 3), (2, 3, 1))
+_COMPACT_BANNED = relation.make_partition([["123", "213", "231"]])
 
 
 def is_compact(p: Sequence[int]) -> bool:
@@ -380,7 +372,7 @@ def is_compact(p: Sequence[int]) -> bool:
     required throughout, as the defining rewrite process guarantees.
     """
     q = perms.as_perm(p)
-    if len(q) >= 3 and not _avoids_factors(q, _COMPACT_BANNED):
+    if not relation.is_avoider(q, _COMPACT_BANNED):
         return False
     if _compact_cond1(q):
         return True
@@ -390,7 +382,7 @@ def is_compact(p: Sequence[int]) -> bool:
 def is_compact_cond1(p: Sequence[int]) -> bool:
     """Compact via condition 1 only (what the g(n, k) recursion counts)."""
     q = perms.as_perm(p)
-    if len(q) >= 3 and not _avoids_factors(q, _COMPACT_BANNED):
+    if not relation.is_avoider(q, _COMPACT_BANNED):
         return False
     return _compact_cond1(q)
 

@@ -152,10 +152,10 @@ def test_criterion_5_invariant_completeness_n6():
     members = defaultdict(list)
     for p in perms.all_perms(6):
         members[dec.class_of_perm(p)].append(p)
-    ban = ((1, 2, 3), (2, 3, 1))
+    ban = relation.make_partition([["123", "231"]])
     for cid, ms in members.items():
         ncomp = sum(1 for p in ms if inv.is_compact(p))
-        if all(inv._avoids_factors(p, ban) for p in ms):
+        if all(relation.is_avoider(p, ban) for p in ms):
             assert ncomp == 1
         else:
             assert ncomp == 0

@@ -234,6 +234,26 @@ def test_bad_value_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--partition", "{123,132}{213,231}", "--n", "200"),
+    ("theorem", "avoider-criterion", "--partition", "{123,132}{213,231}", "--k", "300"),
+])
+def test_large_n_exits_3(capsys, argv):
+    # far past the bound: refused before n! is formatted as a float
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("resource error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap", ["inf", "nan"])
+def test_non_finite_memory_cap_exits_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv("PERMCLASS_MEMORY_CAP_MB", cap)
+    code, out, err = run(capsys, "count", "--partition", "{123,132,231}", "--n", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: PERMCLASS_MEMORY_CAP_MB must be a finite positive number")
+    assert err.count("\n") == 1
+
+
 _NO_SCIPY = """
 import sys
 from permclass import cli

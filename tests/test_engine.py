@@ -65,6 +65,9 @@ def test_spec_counts(backend):
     # merging all of S_3 into one part collapses S_3 to a single class
     K = relation.make_partition([[p for p in perms.all_perms(3)]])
     assert engine.enumerate_classes(3, K).num_classes == 1
+    # patterns of length 1 have no rewrites: every permutation is a class
+    for mode in ("factor", "subword"):
+        assert engine.enumerate_classes(4, relation.singleton_partition(1), mode).num_classes == 24
 
 
 def test_representative_is_lex_minimum(knuth_like):
@@ -121,35 +124,50 @@ def _edge_set(src, dst):
     return np.unique(pairs, axis=0)
 
 
+def _table_edges(n, K, idx):
+    """Independent edges at the index set idx: the rows of _unrank_table
+    whose letters there form a nontrivial pattern, rewritten to every other
+    pattern of its part and ranked by _lehmer_ranks."""
+    table = _unrank_table(n)
+    pid = _lehmer_ranks(table[:, idx])
+    letters = np.sort(table[:, idx], axis=1)
+    batches = []
+    for part in K.nontrivial_parts:
+        for p, q in itertools.permutations(part, 2):
+            rows = np.flatnonzero(pid == perms.rank(p))
+            moved = table[rows]
+            moved[:, idx] = letters[rows][:, np.array(q) - 1]
+            batches.append((rows, _lehmer_ranks(moved)))
+    return _concat(batches)
+
+
 def test_backends_identical(knuth_like):
-    # Factor mode has two edge sources: the digit grid, and the rows of a
-    # permutation table rewritten at each contiguous window (the subword
-    # kernel restricted to factors).  They must give the same edges, and
-    # the letter-by-letter closure the same classes as the table's edges.
+    # The digit-grid edges of every window (index set) against the rows of
+    # a permutation table rewritten there, and the letter-by-letter closure
+    # against csgraph over the table's edges of every window.
     for key in ("{123,321}{132,231}", "{132,231}{213,312}", "{123,132,231}"):
         K = relation.parse_partition(key)
         tab = build_tables(K)
         for n in range(K.c, 8):
-            dec = engine.enumerate_classes(n, K)
-            table, windows = kn.perm_table(n), range(n - K.c + 1)
-            src, dst = _concat(kn.subword_edges(n, tab, table, list(range(i, i + K.c)))
-                               for i in windows)
-            grid = _concat(kn.factor_edges(n, tab, i) for i in windows)
+            windows = [list(range(i, i + K.c)) for i in range(n - K.c + 1)]
+            src, dst = _concat(_table_edges(n, K, idx) for idx in windows)
+            grid = _concat(kn.factor_edges(n, tab, idx[0]) for idx in windows)
             assert np.array_equal(_edge_set(*grid), _edge_set(src, dst))
+            for idx in itertools.combinations(range(n), K.c):
+                expected = _edge_set(*_table_edges(n, K, list(idx)))
+                assert np.array_equal(_edge_set(*kn.subword_edges(n, tab, idx)), expected)
+            dec = engine.enumerate_classes(n, K)
             class_id, num = _csgraph_class_ids(factorial(n), src, dst)
             assert np.array_equal(dec.class_id, class_id), (key, n)
             assert dec.num_classes == num
 
 
-@pytest.mark.parametrize("whole_grid_n", [1, kn._WHOLE_GRID_N])
 @pytest.mark.parametrize("mode", ["factor", "subword"])
-def test_class_ids_match_whole_grid_closure(monkeypatch, mode, whole_grid_n):
-    # the closure built one letter at a time, from S_1 and from the default
-    # base, against scipy's csgraph over every window's (index set's) edges,
-    # for every registered relation and c = 2, 4.  Subword mode stops at
-    # n=7 (its whole-grid reference at n=8 takes about 5 s over these
-    # relations), so there the per-letter steps are checked from S_1.
-    monkeypatch.setattr(kn, "_WHOLE_GRID_N", whole_grid_n)
+def test_class_ids_match_whole_grid_closure(mode):
+    # the closure built one letter at a time from S_1 against scipy's
+    # csgraph over every window's (index set's) edges, for every registered
+    # relation and c = 2, 4.  Subword mode stops at n=7 (its whole-grid
+    # reference at n=8 takes about 5 s over these relations).
     keys = [*oracle.relation_keys(), "{12,21}", "{1234,1243}{2134,2143}", "{1234,4321}"]
     for key in keys:
         tab = build_tables(relation.parse_partition(key))
@@ -158,8 +176,7 @@ def test_class_ids_match_whole_grid_closure(monkeypatch, mode, whole_grid_n):
             if mode == "factor":
                 batches = [kn.factor_edges(n, tab, i) for i in range(n - tab.c + 1)]
             else:
-                table = kn.perm_table(n)
-                batches = [kn.subword_edges(n, tab, table, list(idx))
+                batches = [kn.subword_edges(n, tab, idx)
                            for idx in itertools.combinations(range(n), tab.c)]
             expected, expected_num = _csgraph_class_ids(factorial(n), *_concat(batches))
             assert class_id.dtype == np.int32
@@ -223,7 +240,7 @@ def test_connected_class_ids_independent_of_batch_order():
 
 
 def test_unknown_backend_refused(knuth_like):
-    # the mode picks the edge source (digit grid or permutation table);
+    # the mode picks the batches (the first window or the index sets through 0);
     # the CLI maps this ValueError to exit code 2
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         engine.enumerate_classes(4, knuth_like, mode="bogus")
@@ -449,10 +466,10 @@ def _unrank_table(n):
 
 def _lehmer_ranks(rows):
     """Lehmer rank of each row, from the definition of the digits."""
-    n = rows.shape[1]
+    n, cols = rows.shape[1], np.ascontiguousarray(rows.T)
     r = np.zeros(len(rows), dtype=np.int64)
     for j in range(n):
-        r = r * (n - j) + (rows[:, j + 1 :] < rows[:, j : j + 1]).sum(axis=1)
+        r = r * (n - j) + (cols[j + 1 :] < cols[j]).sum(axis=0)
     return r
 
 
@@ -461,10 +478,14 @@ def test_perm_table_matches_unrank():
         table = kn.perm_table(n)
         assert np.array_equal(table, _unrank_table(n))
         assert np.array_equal(_lehmer_ranks(table), np.arange(factorial(n)))
+        # the span-letter prefixes: every (n-span)!-th row, cut to span letters
+        for span in range(n + 1):
+            expected = _unrank_table(n)[:: factorial(n - span), :span]
+            assert np.array_equal(kn.perm_table(n, span), expected), (n, span)
 
 
 def test_window_letters_in_local_index_order():
-    for m, c in ((3, 3), (5, 2), (7, 3), (8, 4)):
+    for m, c in ((3, 3), (5, 2), (7, 3), (8, 4), (8, 8)):
         letters = kn.window_letters(m, c)
         assert len(letters) == factorial(m) // factorial(m - c)
         assert np.array_equal(kn.local_index(letters, m), np.arange(len(letters)))
@@ -472,24 +493,43 @@ def test_window_letters_in_local_index_order():
 
 @pytest.mark.parametrize("c", [2, 3, 4])
 def test_digit_rule_lemma_exhaustive(c):
-    # The pattern and every rewrite of the window at i, read from its c
-    # digits alone, against unrank + rewrite + rank, for every rank of S_n.
+    # The pattern and every rewrite at the index set idx, read from the
+    # span = idx[-1] - idx[0] + 1 digits from idx[0] on alone, against
+    # unrank + rewrite + rank, for every rank of S_n.  Windows are the
+    # index sets of consecutive positions.
     for n in range(c, 9):
-        table = _unrank_table(n)
+        table = _unrank_table(n).astype(np.int8)
         ranks = np.arange(factorial(n))
-        for i in range(n - c + 1):
-            m = n - i
-            stride = factorial(m - c)
-            pre, loc, suf = ranks // factorial(m), ranks % factorial(m) // stride, ranks % stride
-            win = table[:, i : i + c]
-            assert np.array_equal(kn.window_pattern_ids(m, c)[loc], _lehmer_ranks(win))
-            rule = np.sort(kn.window_letters(m, c)[loc], axis=1)
-            letters = np.sort(win, axis=1)
+        for idx in itertools.combinations(range(n), c):
+            i, span, idx = idx[0], idx[-1] - idx[0] + 1, list(idx)
+            m, cols = n - i, [j - i for j in idx]
+            stride = factorial(m - span)
+            loc = ranks % factorial(m) // stride
+            outside = ranks - loc * stride  # pre * m! + suf
+            win = table[:, idx]
+            rule = kn.window_letters(m, span)[loc]
+            assert np.array_equal(kn._pattern_ids(rule[:, cols]), _lehmer_ranks(win))
+            if span == c:
+                assert np.array_equal(kn.window_pattern_ids(m, c)[loc], _lehmer_ranks(win))
+            rule_sorted, letters = np.sort(rule[:, cols], axis=1), np.sort(win, axis=1)
             for q in itertools.permutations(range(c)):
                 moved = table.copy()
-                moved[:, i : i + c] = letters[:, q]
-                got = pre * factorial(m) + kn.local_index(rule[:, q], m) * stride + suf
-                assert np.array_equal(got, _lehmer_ranks(moved)), (n, i, q)
+                moved[:, idx] = letters[:, q]
+                rewritten = rule.copy()
+                rewritten[:, cols] = rule_sorted[:, q]
+                got = outside + kn.local_index(rewritten, m) * stride
+                assert np.array_equal(got, _lehmer_ranks(moved)), (n, idx, q)
+
+
+def _loc_letters(loc, m, span):
+    """The first span letters (0-based) of a permutation of m letters whose
+    first span Lehmer digits read loc in radix m, m-1, ..., m-span+1."""
+    digits = []
+    for j in reversed(range(span)):
+        loc, d = divmod(loc, m - j)
+        digits.append(d)
+    free = list(range(m))
+    return [free.pop(d) for d in reversed(digits)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,16 +538,24 @@ def test_digit_rule_lemma_to_n20(data):
     c = data.draw(st.integers(2, 4))
     n = data.draw(st.integers(c, 20))
     p = tuple(data.draw(st.permutations(range(1, n + 1))))
-    i = data.draw(st.integers(0, n - c))
+    idx = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=c, max_size=c, unique=True)))
     q = data.draw(st.permutations(range(c)))
-    m = n - i
-    stride = factorial(m - c)
+    i, span = idx[0], idx[-1] - idx[0] + 1
+    m, cols = n - i, [j - i for j in idx]
+    stride = factorial(m - span)
     pre, rest = divmod(perms.rank(p), factorial(m))
     loc, suf = divmod(rest, stride)
-    assert kn.window_pattern_ids(m, c)[loc] == perms.rank(perms.standardize(p[i : i + c]))
-    letters = sorted(p[i : i + c])
-    target = p[:i] + tuple(letters[x] for x in q) + p[i + c :]
-    rule = np.sort(kn.window_letters(m, c)[loc : loc + 1], axis=1)[:, list(q)]
+    rule = np.array([_loc_letters(loc, m, span)])
+    assert list(rule[0] + 1) == list(perms.standardize(p[i:])[:span])
+    if factorial(m) // stride <= 10**5:
+        assert np.array_equal(kn.window_letters(m, span)[loc], rule[0])
+    pattern = perms.rank(perms.standardize([p[j] for j in idx]))
+    assert kn._pattern_ids(rule[:, cols])[0] == pattern
+    letters = sorted(p[j] for j in idx)
+    target = list(p)
+    for j, x in zip(idx, q):
+        target[j] = letters[x]
+    rule[0, cols] = np.sort(rule[0, cols])[list(q)]
     assert perms.rank(target) == pre * factorial(m) + int(kn.local_index(rule, m)[0]) * stride + suf
 
 
