@@ -7,14 +7,18 @@ the classes of S_2, ..., S_n in turn, each with the rewrites through the
 first position over the classes of the one before.  A rewrite that
 leaves the first letter alone acts on the last k-1 letters as the same
 rewrite in S_{k-1}: every window but the first in factor mode, every
-index set without position 0 in subword mode.  Both modes read their
-edges from the Lehmer-digit grid: a rewrite changes only the digits from
-its first to its last rewritten position, so a local rule over those
-digits, broadcast over the others, gives every edge of a window or an
-index set (kernels_numpy.factor_edges, subword_edges).  Each step is closed
-one window or index set at a time by root hooking over one int32 root
-array, so no step holds more than one batch's edges.  ``hit_mask`` and
-the avoider counts use the same digit grid.
+index set without position 0 in subword mode.  A subword step also joins
+the classes of the first k-1 letters (the rewrites that leave the last
+letter alone), so only the index sets through both the first and the
+last position make edges.  Both modes read their edges from the
+Lehmer-digit grid: a rewrite changes only the digits from its first to
+its last rewritten position, so a local rule over those digits,
+broadcast over the others, gives every edge of a window or an index set
+(kernels_numpy.factor_edges, subword_edges).  Each step is closed one
+batch (window, join slice or index set) at a time by root hooking over
+one int32 root array, so no step holds more than one batch's edges; the
+class sizes and minimal ranks come from the last step's nodes.
+``hit_mask`` and the avoider counts use the same digit grid.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
@@ -122,16 +126,17 @@ def _memory_cap_bytes() -> int | None:
 def estimate_bytes(n: int, mode: Mode = "factor") -> int:
     """Rough peak memory of enumerate_classes, from the step that closes S_n.
 
-    Per rank: the int32 node and class arrays and their copies while the
-    ids are numbered, 24 B; in subword mode also the int8 local rows of the
-    index sets through position 0 and one index set's pattern-id scan,
-    n + 24 B.  Per edge: its int32 ends, their node and root images and the
-    surviving pairs, 40 B.  The closure holds one batch (window or index
-    set) at a time, taken as one edge per rank: a part of four patterns of
-    S_3 gives as many.
+    Per rank: the int32 node and class arrays, 8 B; in subword mode also
+    the int8 full-span rows of the index sets through both ends (S_n
+    itself, n B), one such index set's pattern-id scan and rewritten rows,
+    and one join slice (the ranks of one first digit), 24 B together.  Per
+    edge: its int32 ends, their node images and their root images, 24 B.
+    The closure holds one batch (window, join slice or index set) at a
+    time, taken as one edge per rank: a part of four patterns of S_3 gives
+    as many.
     """
-    per_rank = 24 if mode == "factor" else 48 + n
-    return factorial(n) * (per_rank + 40)
+    per_rank = 8 if mode == "factor" else 32 + n
+    return factorial(n) * (per_rank + 24)
 
 
 def _check_bounds(n: int, mode: Mode, allow_large: bool) -> None:
@@ -194,10 +199,7 @@ def enumerate_classes(
     if mode not in DEFAULT_MAX_N:
         raise ValueError(f"unknown mode {mode!r}; expected 'factor' or 'subword'")
     _check_bounds(n, mode, allow_large)
-    class_id, num = kernels_numpy.class_ids(n, build_tables(partition), mode)
-    sizes = np.bincount(class_id, minlength=num).astype(np.int64)
-    # ids follow minimal member rank: a class starts where the running max steps
-    rep_ranks = np.flatnonzero(np.diff(np.maximum.accumulate(class_id), prepend=-1))
+    class_id, sizes, rep_ranks = kernels_numpy.class_ids(n, build_tables(partition), mode)
     for arr in (class_id, sizes, rep_ranks):
         arr.flags.writeable = False
     return ClassDecomposition(

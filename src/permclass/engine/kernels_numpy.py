@@ -13,17 +13,20 @@ letters before i and after idx[-1] keep the set of letters after them.
 So a local rule over the m!/(m-span)! values of loc gives every edge of a
 window (factor mode, span = c) or an index set (subword mode) by
 broadcasting over (pre, loc, suf); the hits and avoiders of factor mode
-read the same grid.  In subword mode the index sets that end at the last
-position have span m, so their local rule is S_m itself; it is built
-once per span (``perm_table(m, span)``) and only the last one is kept.
+read the same grid.  Subword mode only rewrites at index sets through the
+first and the last position, whose span is all k letters, so their local
+rule is S_k itself (``perm_table(k)``), built once per k.
 
 ``class_ids`` closes the edges of either mode one letter at a time, from
 S_1: a rewrite that leaves the first letter alone acts on the rank of the
 other letters only, so each step closes the rewrites through position 0
-over the classes of the step before.  ``connected_class_ids`` closes a
-step's edges one batch (window or index set) at a time by root hooking and
-pointer jumping over one int32 root array, so no step holds more than one
-batch's edges.
+over the classes of the step before.  In subword mode a rewrite that
+leaves the last letter alone acts on the rank of the first letters only,
+so the step joins the two closures and adds only the index sets through
+both ends.  ``connected_class_ids`` closes a step's edges one batch
+(window, join slice or index set) at a time by root hooking and pointer
+jumping over one int32 root array, so no step holds more than one batch's
+edges; each class's size and minimal rank are read off the step's nodes.
 """
 
 from __future__ import annotations
@@ -59,13 +62,14 @@ def perm_table(n: int, span: int | None = None) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def window_letters(m: int, span: int) -> np.ndarray:
     """The first span letters (0-based) of a permutation of m letters, one
     row per value of their digits loc: the span-prefixes of S_m in
-    lexicographic order, so row loc has digits reading loc.  Only the last
-    call is cached: at span m this is all of S_m, so callers ask for one
-    span at a time."""
+    lexicographic order, so row loc has digits reading loc.  Every (m,
+    span) is cached: factor mode asks for the same windows on every call,
+    and subword mode for one full span (all of S_m, 3.3 MB at m=9) a
+    step."""
     rows = perm_table(m, span)
     rows -= 1
     rows.flags.writeable = False
@@ -143,40 +147,87 @@ def subword_edges(n: int, tab: PatternTables, idx):
     return _grid_edges(n, tab, idx)
 
 
-def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, int]:
-    """Class id of every rank of S_n in the given mode, ids following each
-    class's minimal rank, built up one letter at a time from S_1.
+def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(class id of every rank of S_n, size of each class, minimal rank of
+    each class) in the given mode, ids following minimal rank, built up one
+    letter at a time from S_1.
 
     Rank r of S_k is ``d * (k-1)! + t``: d is its first digit and t the
     rank in S_{k-1} of its last k-1 letters, standardized.  A rewrite that
     leaves position 0 alone keeps d and acts on t as the same rewrite
     shifted one position left: in factor mode every window but the first,
     in subword mode every index set without position 0.  So the closure of
-    those rewrites maps r to the node ``d * C + cls[t]``, where cls holds
-    the C class ids of S_{k-1}, and closing the remaining edges (the first
-    window, or the C(k-1, c-1) index sets through position 0) over these
-    k * C nodes gives the classes of S_k.  Node order is minimal-rank
-    order, so the component ids of connected_class_ids follow minimal rank.
+    those rewrites maps r to the tail node ``d * C + cls[t]``, where cls
+    holds the C class ids of S_{k-1}.  Factor mode closes the first
+    window's edges over these k * C nodes.
+
+    Subword mode splits the index sets through position 0 once more: those
+    without position k-1 keep the last letter v and act on the first k-1
+    letters as the same rewrite in S_{k-1}, so their closure maps r to the
+    head node ``k * C + v * C + cls[head[r]]`` (head[r]: the rank of the
+    first k-1 letters, standardized).  The step closes one join edge per
+    rank, tail node to head node, and the C(k-2, c-2) index sets through
+    both position 0 and k-1 over these 2 * k * C nodes.
+
+    Tail node order is minimal-rank order and every head node meets a tail
+    node, so the ids of connected_class_ids follow minimal rank; a class's
+    size and minimal rank come from its tail nodes, each (d, c) of size
+    ``sizes[c]`` and minimal rank ``d * (k-1)! + reps[c]``.  head and last
+    (the last letter, 0-based) are carried from step to step below n.
     """
-    cls, num = np.zeros(1, dtype=np.int32), 1
+    cls = np.zeros(1, dtype=np.int32)
+    sizes, reps = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    head, last = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
     for k in range(2, n + 1):
+        num = len(sizes)
         node = ((np.arange(k, dtype=np.int32) * num)[:, None] + cls).ravel()
-        comp, num = connected_class_ids(k * num, _batches(k, tab, mode), node)
-        cls = comp[node]
-    return cls, num
+        total = (k if mode == "factor" else 2 * k) * num
+        batches = _batches(k, tab, mode, node, cls, num, head, last)
+        comp, new_num = connected_class_ids(total, batches)
+        tail = comp[: k * num]
+        cls = tail[node]
+        sizes_k = np.zeros(new_num, dtype=np.int64)
+        np.add.at(sizes_k, tail, np.tile(sizes, k))
+        # each class's root is its first tail node: where the running max steps
+        roots = np.flatnonzero(np.diff(np.maximum.accumulate(tail), prepend=-1))
+        sizes, reps = sizes_k, roots // num * factorial(k - 1) + reps[roots % num]
+        if mode == "subword" and k < n:
+            parts = [_head_last(k, d, head, last) for d in range(k)]
+            head, last = (np.concatenate(col) for col in zip(*parts))
+    return cls, sizes, reps
 
 
-def _batches(k: int, tab: PatternTables, mode: str) -> Iterator:
-    """The edges of S_k through position 0, one window or index set at a
-    time; the index sets in order of their last position, so that those
-    with one span share their local rows."""
+def _head_last(k: int, d: int, head: np.ndarray, last: np.ndarray):
+    """head and last of the ranks ``d * (k-1)! + t`` of S_k, from head and
+    last of the ranks t of S_{k-1}: the last letter w of t is w + [w >= d]
+    in S_k, and the first k-1 letters start with d - [w < d] and go on
+    with the first k-2 letters of t."""
+    below = last < d
+    return ((d - below) * factorial(k - 2) + head).astype(np.int32), last + ~below
+
+
+def _batches(k, tab, mode, node, cls, num, head, last) -> Iterator:
+    """The edges of S_k left to close over its nodes (class_ids), as node
+    pairs, one batch at a time: in factor mode the first window; in
+    subword mode the join of each first digit's tail and head nodes, then
+    the index sets through positions 0 and k-1."""
     if mode == "factor":
         if k >= tab.c:
-            yield factor_edges(k, tab, 0)
+            yield _through(node, factor_edges(k, tab, 0))
         return
-    rests = itertools.combinations(range(1, k), tab.c - 1)
-    for rest in sorted(rests, key=lambda rest: rest[-1:]):
-        yield subword_edges(k, tab, (0, *rest))
+    block = len(head)
+    for d in range(k):
+        h, w = _head_last(k, d, head, last)
+        yield node[d * block : (d + 1) * block], cls[h] + (w.astype(np.int32) + k) * num
+    if tab.c >= 2:
+        for mid in itertools.combinations(range(1, k - 1), tab.c - 2):
+            yield _through(node, subword_edges(k, tab, (0, *mid, k - 1)))
+
+
+def _through(node: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The node images of a batch of rank edges; the rank edges are freed
+    on return, before the closure takes the batch."""
+    return node[edges[0]], node[edges[1]]
 
 
 def window_hits(n: int, c: int, mask: np.ndarray) -> np.ndarray:
@@ -196,10 +247,10 @@ def count_banned_avoiders(n: int, c: int, banned: np.ndarray) -> int:
     return int(np.count_nonzero(~window_hits(n, c, banned).any(axis=1)))
 
 
-def connected_class_ids(total: int, batches: Iterable, node: np.ndarray | None = None):
+def connected_class_ids(total: int, batches: Iterable):
     """Connected components of the nodes 0..total-1 under the edges of
-    every (src, dst) batch, mapped through node if given, as (ids, num):
-    ids follow each component's minimal node.
+    every (src, dst) batch, as (ids, num): ids follow each component's
+    minimal node.
 
     One int32 root array, root[x] <= x, is closed batch by batch: map the
     batch's ends to their roots, keep the edges whose roots differ, hook
@@ -210,8 +261,7 @@ def connected_class_ids(total: int, batches: Iterable, node: np.ndarray | None =
     roots in node order gives the ids with no sort.
     """
     root = np.arange(total, dtype=np.int32)
-    for src, dst in batches:
-        lo, hi = (src, dst) if node is None else (node[src], node[dst])
+    for lo, hi in batches:
         while len(lo):
             lo, hi = root[lo], root[hi]
             keep = lo != hi

@@ -1,0 +1,67 @@
+"""SHA-256 digests of every enumeration's class_id, rep_ranks and
+class_sizes, against the digests recorded in class_digests.json.
+
+Each case is one relation in one mode over a range of n; the digest of
+each array runs over n in order and reads each array's dtype and bytes.
+A change to the engine that claims identical outputs keeps every digest.
+Re-record (only when an output is meant to change) with
+
+    PYTHONPATH=src python tests/test_digests.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+
+from permclass import engine, oracle, relation
+
+DIGESTS = pathlib.Path(__file__).with_name("class_digests.json")
+ARRAYS = ("class_id", "rep_ranks", "class_sizes")
+FIGURE2 = "{132,231}{213,312}"
+
+
+def cases() -> list[tuple[str, str, list[int]]]:
+    """(mode, partition, ns): every registered row and Figure 2, factor
+    mode to n=9 and subword mode to n=8, and subword n=9 for one relation."""
+    keys = [*oracle.relation_keys(), FIGURE2]
+    out = [("factor", key, list(range(1, 10))) for key in keys]
+    out += [("subword", key, list(range(1, 9))) for key in keys]
+    out.append(("subword", "{123,132,213,231}", [9]))
+    return out
+
+
+def digests(mode: str, key: str, ns: list[int]) -> dict[str, str]:
+    K = relation.parse_partition(key)
+    hashes = {name: hashlib.sha256() for name in ARRAYS}
+    for n in ns:
+        dec = engine.enumerate_classes(n, K, mode, allow_large=True)
+        for name, h in hashes.items():
+            arr = getattr(dec, name)
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def _recorded() -> dict:
+    return {(c["mode"], c["partition"], tuple(c["n"])): c for c in json.loads(DIGESTS.read_text())}
+
+
+@pytest.mark.parametrize("mode, key, ns", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-n{case[2][0]}-{case[2][-1]}") for case in cases()
+])
+def test_outputs_match_recorded_digests(mode, key, ns):
+    recorded = _recorded()[mode, key, tuple(ns)]
+    got = digests(mode, key, ns)
+    for name in ARRAYS:
+        assert got[name] == recorded[name], (mode, key, name)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    rows = [{"mode": mode, "partition": key, "n": ns, **digests(mode, key, ns)}
+            for mode, key, ns in cases()]
+    DIGESTS.write_text("[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n")

@@ -172,48 +172,67 @@ def test_class_ids_match_whole_grid_closure(mode):
     for key in keys:
         tab = build_tables(relation.parse_partition(key))
         for n in range(1, 9 if mode == "factor" else 8):
-            class_id, num = kn.class_ids(n, tab, mode)
-            if mode == "factor":
-                batches = [kn.factor_edges(n, tab, i) for i in range(n - tab.c + 1)]
-            else:
-                batches = [kn.subword_edges(n, tab, idx)
-                           for idx in itertools.combinations(range(n), tab.c)]
-            expected, expected_num = _csgraph_class_ids(factorial(n), *_concat(batches))
-            assert class_id.dtype == np.int32
-            assert np.array_equal(class_id, expected) and num == expected_num, (key, n)
+            _check_class_ids(n, tab, mode, key)
+
+
+def _check_class_ids(n, tab, mode, key):
+    """class_ids against csgraph over every window's (index set's) edges,
+    with each class's size and minimal rank read off the expected ids."""
+    class_id, sizes, reps = kn.class_ids(n, tab, mode)
+    if mode == "factor":
+        batches = [kn.factor_edges(n, tab, i) for i in range(n - tab.c + 1)]
+    else:
+        idxs = itertools.combinations(range(n), tab.c)
+        batches = [kn.subword_edges(n, tab, idx) for idx in idxs]
+    expected, num = _csgraph_class_ids(factorial(n), *_concat(batches))
+    assert class_id.dtype == np.int32 and sizes.dtype == reps.dtype == np.int64
+    assert np.array_equal(class_id, expected), (key, n)
+    assert np.array_equal(sizes, np.bincount(expected, minlength=num)), (key, n)
+    assert np.array_equal(reps, np.unique(expected, return_index=True)[1]), (key, n)
+
+
+@pytest.mark.parametrize("key", ["{123,132,213,231}", "{123,321}{132,231}"])
+def test_subword_class_ids_match_every_index_set_n8(key):
+    # the join of head and tail classes and the index sets through both
+    # ends, against csgraph over all C(8, 3) index sets of S_8
+    _check_class_ids(8, build_tables(relation.parse_partition(key)), "subword", key)
+
+
+def test_head_last_recurrence_matches_unrank():
+    # head: rank of the first k-1 letters, standardized; last: the last
+    # letter, 0-based; built from S_1 one first digit at a time
+    head, last = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
+    for k in range(2, 9):
+        parts = [kn._head_last(k, d, head, last) for d in range(k)]
+        head, last = (np.concatenate(col) for col in zip(*parts))
+        table = _unrank_table(k)
+        assert head.dtype == np.int32 and last.dtype == np.int8
+        assert np.array_equal(last, table[:, -1] - 1), k
+        assert np.array_equal(head, _lehmer_ranks(table[:, :-1])), k
 
 
 @st.composite
 def _multigraphs(draw):
-    """A node count, an optional node map and batches of edges over it,
-    with self-loops, duplicate and reversed edges and empty batches."""
+    """A node count and batches of edges over it, with self-loops,
+    duplicate and reversed edges and empty batches."""
     total = draw(st.integers(1, 40))
-    node = None
-    ends = total
-    if draw(st.booleans()):
-        ends = draw(st.integers(1, 60))
-        node = np.array(draw(st.lists(st.integers(0, total - 1), min_size=ends, max_size=ends)),
-                        dtype=np.int32)
     batches = []
     for _ in range(draw(st.integers(0, 6))):
-        pairs = draw(st.lists(st.tuples(st.integers(0, ends - 1), st.integers(0, ends - 1)),
+        pairs = draw(st.lists(st.tuples(st.integers(0, total - 1), st.integers(0, total - 1)),
                               max_size=30))
         if pairs:
             pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), max_size=10))]
         pairs = np.array(pairs, dtype=np.int32).reshape(-1, 2)
         batches.append((pairs[:, 0], pairs[:, 1]))
-    return total, node, batches
+    return total, batches
 
 
 @settings(max_examples=300, deadline=None)
 @given(_multigraphs())
 def test_connected_class_ids_match_csgraph(graph):
-    total, node, batches = graph
-    src, dst = _concat(batches)
-    if node is not None:
-        src, dst = node[src], node[dst]
-    expected, expected_num = _csgraph_class_ids(total, src, dst)
-    ids, num = kn.connected_class_ids(total, iter(batches), node)
+    total, batches = graph
+    expected, expected_num = _csgraph_class_ids(total, *_concat(batches))
+    ids, num = kn.connected_class_ids(total, iter(batches))
     assert ids.dtype == np.int32
     assert np.array_equal(ids, expected) and num == expected_num
 
