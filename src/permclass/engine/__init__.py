@@ -2,7 +2,11 @@
 
 The decomposition runs over the dense Lehmer-rank space 0..n!-1 and
 gives every rank a class id; the ids follow each class's minimal member
-rank.  Both modes run one closure (kernels_numpy.class_ids): it closes
+rank.  It is stored as the last step's tail nodes and the class ids of
+S_{n-1}: rank ``d * (n-1)! + t`` has class ``tail[d * C + prev[t]]``, so
+counts, sizes, representatives and ``class_of_perm`` never build the n!
+id array, which ``ClassDecomposition.class_id`` builds on first use.
+Both modes run one closure (kernels_numpy.class_ids): it closes
 the classes of S_2, ..., S_n in turn, each with the rewrites through the
 first position over the classes of the one before.  A rewrite that
 leaves the first letter alone acts on the last k-1 letters as the same
@@ -15,14 +19,18 @@ Lehmer-digit grid: a rewrite changes only the digits from its first to
 its last rewritten position, so a local rule over those digits,
 broadcast over the others, gives every edge of a window or an index set
 (kernels_numpy.factor_edges, subword_edges).  Each step is closed one
-batch (window, join slice or index set) at a time by root hooking over
-one int32 root array, so no step holds more than one batch's edges; the
-class sizes and minimal ranks come from the last step's nodes.
+batch at a time by root hooking over one int32 root array, so no step
+holds more than one batch's edges: in factor mode whole first digits of
+the first window's local pairs, up to a fixed edge budget, read as rows
+of the class ids of S_{k-1}; in subword mode one join slice or index
+set.  The class sizes and minimal ranks come from the last step's nodes.
 ``hit_mask`` and the avoider counts use the same digit grid.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
-against the available RAM (and PERMCLASS_MEMORY_CAP_MB, if set).
+against the available RAM (and PERMCLASS_MEMORY_CAP_MB, if set), once
+before the closure and again before its last step, over the classes of
+S_{n-1} it found.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from math import factorial
-from typing import Iterable, Sequence
+from functools import cached_property
+from math import comb, factorial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -60,9 +69,17 @@ class ClassDecomposition:
     n: int
     mode: str
     partition_text: str
-    class_id: np.ndarray     # int32, length n!; class index per rank
+    tail: np.ndarray         # int32, n * C; class of rank d*(n-1)! + t is tail[d*C + prev[t]]
+    prev: np.ndarray         # int32, length (n-1)!; class index per rank of S_{n-1} (C classes)
     class_sizes: np.ndarray  # int64, per class index
     rep_ranks: np.ndarray    # int64 rank of each class's lexicographic minimum
+
+    @cached_property
+    def class_id(self) -> np.ndarray:
+        """int32, length n!: the class index of every rank, built on first use."""
+        ids = self.tail.reshape(self.n, -1)[:, self.prev].ravel()
+        ids.flags.writeable = False
+        return ids
 
     @property
     def num_classes(self) -> int:
@@ -79,7 +96,8 @@ class ClassDecomposition:
         return [perms.unrank(int(r), self.n) for r in self.rep_ranks]
 
     def class_of_perm(self, p: Sequence[int]) -> int:
-        return int(self.class_id[perms.rank(p)])
+        first, t = divmod(perms.rank(p), len(self.prev))
+        return int(self.tail[first * (len(self.tail) // self.n) + self.prev[t]])
 
     def members(self, cid: int) -> list[Perm]:
         ranks = np.nonzero(self.class_id == cid)[0]
@@ -123,45 +141,95 @@ def _memory_cap_bytes() -> int | None:
     return int(cap * 1024 * 1024)
 
 
-def estimate_bytes(n: int, mode: Mode = "factor") -> int:
-    """Rough peak memory of enumerate_classes, from the step that closes S_n.
+def estimate_bytes(
+    n: int,
+    mode: Mode = "factor",
+    partition: ReplacementPartition | None = None,
+    classes: int = 1,
+) -> int:
+    """Rough peak memory of enumerate_classes, from the step that closes S_n
+    over the given number of classes of S_{n-1} (1, the fewest, by
+    default; the closure checks again before that step, when the number is
+    known).
 
-    Per rank: the int32 node and class arrays, 8 B; in subword mode also
-    the int8 full-span rows of the index sets through both ends (S_n
-    itself, n B), one such index set's pattern-id scan and rewritten rows,
-    and one join slice (the ranks of one first digit), 24 B together.  Per
-    edge: its int32 ends, their node images and their root images, 24 B.
-    The closure holds one batch (window, join slice or index set) at a
-    time, taken as one edge per rank: a part of four patterns of S_3 gives
-    as many.
+    A part of the partition gives ``C(|part|, 2) * (n-c)!`` edges a window
+    prefix, read off the local pairs (a, b) with a's pattern of lower id.
+    Prefixes with first letter d and a pattern whose first letter is v-th
+    smallest number ``C(d, v-1) * C(n-1-d, c-v)``, so the edges of each
+    first digit of a are known in closed form; over all first digits they
+    come to e = sum C(|part|, 2) / c! a rank.  Without a partition the
+    single part of all of S_3 is charged, 2.5 edges a rank.
+
+    Both modes charge 64 B a node (n * classes tail nodes, and as many head
+    nodes in subword mode): the root array and its pointer jumps, the
+    numbered ids, and each class's size and minimal rank with their
+    temporaries.  Factor mode also holds the int32 class ids of S_{n-1}
+    (4 B a rank of S_{n-1}) and one batch of the first window's edges,
+    24 B an edge (the node pair, its root images and the closure's
+    filtered copies).  A batch is the whole step where it fits in
+    kernels_numpy._BATCH_EDGES, else up to that many edges, or one first
+    digit's where more.
+
+    Subword mode holds per rank the int32 node array, the int8 full-span
+    rows (n B) and one index set's pattern scan with the head and last
+    arrays of S_{n-1}, 32 + n B together, and one index set's edges
+    through both ends (e a rank) or one join slice (1/n a rank), 24 B an
+    edge (its int32 local pairs, then its rank edges and their node
+    images, then the closure's copies).
     """
-    per_rank = 8 if mode == "factor" else 32 + n
-    return factorial(n) * (per_rank + 24)
+    if partition is None:
+        partition = relation.make_partition([list(perms.all_perms(3))])
+    c = partition.c
+    pairs = [0] * n
+    for part in partition.nontrivial_parts:
+        for j, p in enumerate(sorted(part)):
+            for d in range(n):
+                pairs[d] += (len(part) - 1 - j) * comb(d, p[0] - 1) * comb(n - 1 - d, c - p[0])
+    edges = [x * factorial(max(n - c, 0)) for x in pairs]
+    if mode == "factor":
+        batch = min(sum(edges), max(kernels_numpy._BATCH_EDGES, max(edges)))
+        return 64 * n * classes + 4 * factorial(n - 1) + 24 * batch
+    nodes = 2 * n * classes
+    return 64 * nodes + factorial(n) * (32 + n) + 24 * max(sum(edges), factorial(n - 1))
 
 
-def _check_bounds(n: int, mode: Mode, allow_large: bool) -> None:
+def _check_bounds(
+    n: int, mode: Mode, partition: ReplacementPartition, allow_large: bool
+) -> Callable[[int], None] | None:
     """Refuse n past the mode's bound, then an estimate past the memory cap
-    or the available RAM.  Past the large bound no estimate is computed."""
+    or the available RAM.  Past the large bound no estimate is computed.
+
+    The estimate is checked here over one class of S_{n-1}; the check is
+    returned (None if no limit applies) for the closure to repeat before
+    its last step, over the classes of S_{n-1} it found."""
     bound = (LARGE_MAX_N if allow_large else DEFAULT_MAX_N)[mode]
     if n > bound:
         hint = ""
         if n <= LARGE_MAX_N[mode]:
-            hint = (f" (estimated {estimate_bytes(n, mode) // 10**6} MB needed;"
+            hint = (f" (estimated {estimate_bytes(n, mode, partition) // 10**6} MB needed;"
                     " pass allow_large (or --allow-large) to raise the bound)")
         raise ResourceLimitError(f"n={n} exceeds the {mode}-mode bound {bound}{hint}")
-    est = estimate_bytes(n, mode)
+    limits = []
     cap = _memory_cap_bytes()
-    if cap is not None and est > cap:
-        raise ResourceLimitError(f"estimated {est // 10**6} MB exceeds PERMCLASS_MEMORY_CAP_MB")
+    if cap is not None:
+        limits.append((cap, "PERMCLASS_MEMORY_CAP_MB"))
     if allow_large and n > DEFAULT_MAX_N[mode]:
         avail = _available_bytes()
         if avail is None:
             print("permclass: available memory unknown; RAM check skipped", file=sys.stderr)
-        elif est > avail:
-            raise ResourceLimitError(
-                f"estimated {est // 10**6} MB exceeds available memory "
-                f"({avail // 10**6} MB); refusing"
-            )
+        else:
+            limits.append((avail, f"available memory ({avail // 10**6} MB); refusing"))
+    if not limits:
+        return None
+
+    def check(classes: int) -> None:
+        est = estimate_bytes(n, mode, partition, classes)
+        for limit, what in limits:
+            if est > limit:
+                raise ResourceLimitError(f"estimated {est // 10**6} MB exceeds {what}")
+
+    check(1)
+    return check
 
 
 def _available_bytes() -> int | None:
@@ -198,15 +266,16 @@ def enumerate_classes(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if mode not in DEFAULT_MAX_N:
         raise ValueError(f"unknown mode {mode!r}; expected 'factor' or 'subword'")
-    _check_bounds(n, mode, allow_large)
-    class_id, sizes, rep_ranks = kernels_numpy.class_ids(n, build_tables(partition), mode)
-    for arr in (class_id, sizes, rep_ranks):
+    check = _check_bounds(n, mode, partition, allow_large)
+    tail, prev, sizes, rep_ranks = kernels_numpy.class_ids(n, build_tables(partition), mode, check)
+    for arr in (tail, prev, sizes, rep_ranks):
         arr.flags.writeable = False
     return ClassDecomposition(
         n=n,
         mode=mode,
         partition_text=partition.text(),
-        class_id=class_id,
+        tail=tail,
+        prev=prev,
         class_sizes=sizes,
         rep_ranks=rep_ranks,
     )

@@ -23,16 +23,21 @@ other letters only, so each step closes the rewrites through position 0
 over the classes of the step before.  In subword mode a rewrite that
 leaves the last letter alone acts on the rank of the first letters only,
 so the step joins the two closures and adds only the index sets through
-both ends.  ``connected_class_ids`` closes a step's edges one batch
-(window, join slice or index set) at a time by root hooking and pointer
-jumping over one int32 root array, so no step holds more than one batch's
-edges; each class's size and minimal rank are read off the step's nodes.
+both ends.  ``connected_class_ids`` closes a step's edges one batch at a
+time by root hooking and pointer jumping over one int32 root array, so no
+step holds more than one batch's edges; each class's size and minimal
+rank are read off the step's nodes.  A factor batch is whole first digits
+of the first window's local pairs, up to _BATCH_EDGES edges, mapped to
+nodes straight from rows of the class ids of the step before, so factor
+mode builds no k!-sized array; subword batches are one join slice or one
+index set.  The ids of S_n are left as the last step's tail nodes and the
+ids of S_{n-1}, for the caller to gather if it needs them.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from math import factorial
 
@@ -106,17 +111,14 @@ def window_pattern_ids(m: int, c: int) -> np.ndarray:
     return _pattern_ids(window_letters(m, c))
 
 
-def _grid_edges(n: int, tab: PatternTables, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Undirected edges of the rewrites at the index set idx as (src, dst)
-    rank arrays, ``pre * m! + loc * (m-span)! + suf`` over the local edges
-    (a, b): a is a loc whose pattern at idx has a partner with a larger id,
-    b the loc rewritten to that partner."""
-    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
-    i, m, span = idx[0], n - idx[0], idx[-1] - idx[0] + 1
-    cols = [j - i for j in idx]
+def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarray, np.ndarray]:
+    """The local edges (a, b) of the rewrites at the columns cols of the
+    first span letters of S_m, as int32 loc arrays: a is a loc whose
+    pattern at cols has a partner with a larger id, b the loc rewritten to
+    that partner."""
     letters = window_letters(m, span)
     pid = _pattern_ids(letters[:, cols])
-    a_parts, b_parts = [np.empty(0, dtype=dtype)], [np.empty(0, dtype=dtype)]
+    a_parts, b_parts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     for t in np.flatnonzero(np.diff(tab.partners_ptr)):
         rows = np.flatnonzero(pid == t)
         here = letters[rows]
@@ -124,14 +126,23 @@ def _grid_edges(n: int, tab: PatternTables, idx) -> tuple[np.ndarray, np.ndarray
         for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]]:
             moved = here.copy()
             moved[:, cols] = ordered[:, tab.pat_onel[q] - 1]
-            a_parts.append(rows.astype(dtype))
-            b_parts.append(local_index(moved, m).astype(dtype))
+            a_parts.append(rows.astype(np.int32))
+            b_parts.append(local_index(moved, m).astype(np.int32))
+    return np.concatenate(a_parts), np.concatenate(b_parts)
+
+
+def _grid_edges(n: int, tab: PatternTables, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected edges of the rewrites at the index set idx as (src, dst)
+    rank arrays, ``pre * m! + loc * (m-span)! + suf`` over the local edges
+    (a, b) of ``_local_pairs``."""
+    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
+    i, m, span = idx[0], n - idx[0], idx[-1] - idx[0] + 1
     stride = factorial(m - span)
     pre = np.arange(factorial(n) // factorial(m), dtype=dtype) * factorial(m)
     suf = np.arange(stride, dtype=dtype)
     return tuple(
-        (pre[:, None, None] + (np.concatenate(loc) * stride)[:, None] + suf).ravel()
-        for loc in (a_parts, b_parts)
+        (pre[:, None, None] + (loc.astype(dtype, copy=False) * stride)[:, None] + suf).ravel()
+        for loc in _local_pairs(m, span, [j - i for j in idx], tab)
     )
 
 
@@ -147,10 +158,23 @@ def subword_edges(n: int, tab: PatternTables, idx):
     return _grid_edges(n, tab, idx)
 
 
-def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(class id of every rank of S_n, size of each class, minimal rank of
-    each class) in the given mode, ids following minimal rank, built up one
-    letter at a time from S_1.
+# Most window-0 edges a factor batch holds, unless one first digit has
+# more.  A step within it (S_9 under parts of 1/3 edge a rank) closes in
+# one batch, with no per-digit overhead; a larger step holds one batch of
+# whole first digits at a time, not the step.
+_BATCH_EDGES = 1 << 17
+
+
+def class_ids(
+    n: int, tab: PatternTables, mode: str, admit: Callable[[int], None] | None = None
+):
+    """(tail, prev, sizes, reps): the classes of S_n in the given mode, ids
+    following minimal rank, built up one letter at a time from S_1.  Rank
+    ``d * (n-1)! + t`` has class ``tail[d * C + prev[t]]``, where prev
+    holds the class ids of S_{n-1} and C their number; sizes and reps give
+    each class's size and minimal rank.  ``admit``, if given, is called
+    with the number of classes of S_{n-1} before the last step, and may
+    raise to refuse it.
 
     Rank r of S_k is ``d * (k-1)! + t``: d is its first digit and t the
     rank in S_{k-1} of its last k-1 letters, standardized.  A rewrite that
@@ -159,7 +183,8 @@ def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, np.nda
     in subword mode every index set without position 0.  So the closure of
     those rewrites maps r to the tail node ``d * C + cls[t]``, where cls
     holds the C class ids of S_{k-1}.  Factor mode closes the first
-    window's edges over these k * C nodes.
+    window's edges over these k * C nodes, read from its local pairs
+    (``_factor_batches``) with no k!-sized array.
 
     Subword mode splits the index sets through position 0 once more: those
     without position k-1 keep the last letter v and act on the first k-1
@@ -172,20 +197,23 @@ def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, np.nda
     Tail node order is minimal-rank order and every head node meets a tail
     node, so the ids of connected_class_ids follow minimal rank; a class's
     size and minimal rank come from its tail nodes, each (d, c) of size
-    ``sizes[c]`` and minimal rank ``d * (k-1)! + reps[c]``.  head and last
-    (the last letter, 0-based) are carried from step to step below n.
+    ``sizes[c]`` and minimal rank ``d * (k-1)! + reps[c]``.  cls of S_{k-1}
+    is read off the tail and cls of the step before at the start of step
+    k, so the ids of S_n are never gathered; head and last (the last
+    letter, 0-based) are carried from step to step below n.
     """
-    cls = np.zeros(1, dtype=np.int32)
+    tail = prev = np.zeros(1, dtype=np.int32)
     sizes, reps = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     head, last = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
     for k in range(2, n + 1):
         num = len(sizes)
-        node = ((np.arange(k, dtype=np.int32) * num)[:, None] + cls).ravel()
+        if k == n and admit is not None:
+            admit(num)
+        prev = tail.reshape(k - 1, -1)[:, prev].ravel()
         total = (k if mode == "factor" else 2 * k) * num
-        batches = _batches(k, tab, mode, node, cls, num, head, last)
+        batches = _batches(k, tab, mode, prev, num, head, last)
         comp, new_num = connected_class_ids(total, batches)
         tail = comp[: k * num]
-        cls = tail[node]
         sizes_k = np.zeros(new_num, dtype=np.int64)
         np.add.at(sizes_k, tail, np.tile(sizes, k))
         # each class's root is its first tail node: where the running max steps
@@ -194,7 +222,7 @@ def class_ids(n: int, tab: PatternTables, mode: str) -> tuple[np.ndarray, np.nda
         if mode == "subword" and k < n:
             parts = [_head_last(k, d, head, last) for d in range(k)]
             head, last = (np.concatenate(col) for col in zip(*parts))
-    return cls, sizes, reps
+    return tail, prev, sizes, reps
 
 
 def _head_last(k: int, d: int, head: np.ndarray, last: np.ndarray):
@@ -206,15 +234,16 @@ def _head_last(k: int, d: int, head: np.ndarray, last: np.ndarray):
     return ((d - below) * factorial(k - 2) + head).astype(np.int32), last + ~below
 
 
-def _batches(k, tab, mode, node, cls, num, head, last) -> Iterator:
+def _batches(k, tab, mode, cls, num, head, last) -> Iterator:
     """The edges of S_k left to close over its nodes (class_ids), as node
-    pairs, one batch at a time: in factor mode the first window; in
-    subword mode the join of each first digit's tail and head nodes, then
+    pairs, one batch at a time: in factor mode the first window, whole
+    first digits a batch; in subword mode the join of each first digit's tail and head nodes, then
     the index sets through positions 0 and k-1."""
     if mode == "factor":
         if k >= tab.c:
-            yield _through(node, factor_edges(k, tab, 0))
+            yield from _factor_batches(k, tab, cls, num)
         return
+    node = ((np.arange(k, dtype=np.int32) * num)[:, None] + cls).ravel()
     block = len(head)
     for d in range(k):
         h, w = _head_last(k, d, head, last)
@@ -222,6 +251,44 @@ def _batches(k, tab, mode, node, cls, num, head, last) -> Iterator:
     if tab.c >= 2:
         for mid in itertools.combinations(range(1, k - 1), tab.c - 2):
             yield _through(node, subword_edges(k, tab, (0, *mid, k - 1)))
+
+
+def _factor_batches(k: int, tab: PatternTables, cls: np.ndarray, num: int) -> Iterator:
+    """The first window's edges of S_k as tail-node pairs, whole first
+    digits at a time, in batches of up to _BATCH_EDGES edges (or one first
+    digit's, if more).
+
+    A local pair (a, b) of the window gives the ranks ``a * S + suf`` and
+    ``b * S + suf`` for every suf < S = (k-c)!.  Rank ``a * S + suf`` has
+    first digit ``a // L``, L = (k-1)!/(k-c)!, and tail rank
+    ``(a % L) * S + suf``: its tail nodes are row ``a % L`` of
+    ``cls.reshape(L, S)`` offset by ``(a // L) * num``.
+    """
+    c = tab.c
+    stride = factorial(k - c)
+    rows = cls.reshape(-1, stride)
+    a, b = _local_pairs(k, c, list(range(c)), tab)
+    bounds = [0, len(a)]
+    if len(a) * stride > _BATCH_EDGES:
+        order = np.argsort(a, kind="stable")
+        a, b = a[order], b[order]
+        bounds, done = [0], 0
+        for end in np.searchsorted(a, np.arange(1, k + 1) * len(rows)):
+            # close the batch before a first digit that would take it past the budget
+            if (end - bounds[-1]) * stride > _BATCH_EDGES and done > bounds[-1]:
+                bounds.append(done)
+            done = end
+        bounds.append(done)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            yield _tail_nodes(a[lo:hi], rows, num), _tail_nodes(b[lo:hi], rows, num)
+
+
+def _tail_nodes(loc: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
+    """The tail nodes of the ranks ``loc * S + suf`` (suf < S), loc by loc:
+    row ``loc % L`` of the (L, S) class ids offset by ``(loc // L) * num``."""
+    first, tail = np.divmod(loc, len(rows))
+    return ((first * num).astype(np.int32)[:, None] + rows[tail]).ravel()
 
 
 def _through(node: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:

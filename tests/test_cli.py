@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 import permclass
-from permclass import cli, oracle
+from permclass import cli, engine, oracle
 
 
 def run(capsys, *argv):
@@ -64,6 +64,36 @@ def test_count_csv_schema(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "relation,n,mode,classes,trivial,identity_class_size"
     assert lines[1] == '"{123,132,231}",4,factor,8,4,9'
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--format", "text"),
+    ("count", "--format", "json"),
+    ("count", "--format", "csv", "--with-identity"),
+    ("classes", "--format", "json"),
+    ("classes", "--format", "csv"),
+])
+def test_reports_do_not_build_class_id(capsys, monkeypatch, argv):
+    # counts, class tables and the identity's class read the last step's
+    # tail and prev arrays only, never the n!-entry class_id array
+    decs = []
+
+    def recorded(*args, **kwargs):
+        decs.append(enumerate_classes(*args, **kwargs))
+        return decs[-1]
+
+    enumerate_classes = engine.enumerate_classes
+    monkeypatch.setattr(engine, "enumerate_classes", recorded)
+    code, out, _ = run(capsys, argv[0], "--partition", "{132,231}{213,312}", "--n", "7", *argv[1:])
+    assert code == 0 and out
+    assert len(decs) == 1 and "class_id" not in vars(decs[0])
+
+
+def test_count_n11_allow_large(capsys):
+    code, out, _ = run(capsys, "count", "--partition", oracle.FIGURE2_KEY, "--n", "11",
+                       "--allow-large", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["num_classes"] == oracle.figure2_reference(11)
 
 
 def test_classes_bfs(capsys):

@@ -15,10 +15,14 @@ import hashlib
 import json
 import pathlib
 import sys
+from math import factorial
 
+import numpy as np
 import pytest
 
 from permclass import engine, oracle, relation
+from permclass.engine import kernels_numpy as kn
+from permclass.engine.tables import build_tables
 
 DIGESTS = pathlib.Path(__file__).with_name("class_digests.json")
 ARRAYS = ("class_id", "rep_ranks", "class_sizes")
@@ -27,11 +31,13 @@ FIGURE2 = "{132,231}{213,312}"
 
 def cases() -> list[tuple[str, str, list[int]]]:
     """(mode, partition, ns): every registered row and Figure 2, factor
-    mode to n=9 and subword mode to n=8, and subword n=9 for one relation."""
+    mode to n=9 and subword mode to n=8, subword n=9 for one relation, and
+    factor n=10 for Figure 2 and one relation."""
     keys = [*oracle.relation_keys(), FIGURE2]
     out = [("factor", key, list(range(1, 10))) for key in keys]
     out += [("subword", key, list(range(1, 9))) for key in keys]
     out.append(("subword", "{123,132,213,231}", [9]))
+    out += [("factor", key, [10]) for key in (FIGURE2, "{123,132,213,231}")]
     return out
 
 
@@ -59,6 +65,26 @@ def test_outputs_match_recorded_digests(mode, key, ns):
     got = digests(mode, key, ns)
     for name in ARRAYS:
         assert got[name] == recorded[name], (mode, key, name)
+
+
+@pytest.mark.parametrize("budget", [
+    pytest.param(0, id="first-digit-batches"), pytest.param(factorial(12), id="one-batch-a-step"),
+])
+def test_factor_digests_hold_at_either_batch_budget(monkeypatch, budget):
+    # Budget 0 closes each step one first digit a batch, budget 12! the
+    # whole step in one batch; at n <= 9 the default closes one batch a
+    # step, so only these extremes split it there (and join it at n=10).
+    monkeypatch.setattr(kn, "_BATCH_EDGES", budget)
+    tab = build_tables(relation.parse_partition(FIGURE2))
+    # a local pair (a, b) of the first window of S_8 has first digit a // (7 * 6)
+    firsts = {int(a // 42) for a in kn._local_pairs(8, 3, [0, 1, 2], tab)[0]}
+    batches = list(kn._factor_batches(8, tab, np.zeros(factorial(7), dtype=np.int32), 1))
+    assert len(batches) == (len(firsts) if budget == 0 else 1)
+    recorded = _recorded()
+    for mode, key, ns in cases():
+        if mode == "factor":
+            got = digests(mode, key, ns)
+            assert all(got[name] == recorded[mode, key, tuple(ns)][name] for name in ARRAYS), key
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

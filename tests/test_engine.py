@@ -90,6 +90,20 @@ def test_trivial_classes_are_avoiders(knuth_like):
     assert dec.num_trivial == engine.count_trivial(5, knuth_like)
 
 
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_class_of_perm_reads_tail_and_prev(mode):
+    # class_of_perm's O(1) divmod read against the class_id array, which
+    # is built only on first use, for every rank of S_n
+    for key in ("{132,231}{213,312}", "{123,321}{132,231}", "{1234,4321}"):
+        K = relation.parse_partition(key)
+        for n in range(1, 8):
+            dec = engine.enumerate_classes(n, K, mode)
+            got = [dec.class_of_perm(p) for p in perms.all_perms(n)]
+            assert "class_id" not in vars(dec)
+            assert got == dec.class_id.tolist(), (key, n)
+            assert not dec.class_id.flags.writeable
+
+
 def test_worker_counts_identical(knuth_like):
     base = engine.enumerate_classes(6, knuth_like, workers=1)
     for w in (2, 8):
@@ -177,15 +191,18 @@ def test_class_ids_match_whole_grid_closure(mode):
 
 def _check_class_ids(n, tab, mode, key):
     """class_ids against csgraph over every window's (index set's) edges,
-    with each class's size and minimal rank read off the expected ids."""
-    class_id, sizes, reps = kn.class_ids(n, tab, mode)
+    with each class's size and minimal rank read off the expected ids.
+    Rank d*(n-1)! + t has class tail[d*C + prev[t]]."""
+    tail, prev, sizes, reps = kn.class_ids(n, tab, mode)
+    assert len(prev) == factorial(n - 1) and len(tail) % n == 0
+    class_id = tail.reshape(n, -1)[:, prev].ravel()
     if mode == "factor":
         batches = [kn.factor_edges(n, tab, i) for i in range(n - tab.c + 1)]
     else:
         idxs = itertools.combinations(range(n), tab.c)
         batches = [kn.subword_edges(n, tab, idx) for idx in idxs]
     expected, num = _csgraph_class_ids(factorial(n), *_concat(batches))
-    assert class_id.dtype == np.int32 and sizes.dtype == reps.dtype == np.int64
+    assert tail.dtype == prev.dtype == np.int32 and sizes.dtype == reps.dtype == np.int64
     assert np.array_equal(class_id, expected), (key, n)
     assert np.array_equal(sizes, np.bincount(expected, minlength=num)), (key, n)
     assert np.array_equal(reps, np.unique(expected, return_index=True)[1]), (key, n)
@@ -346,9 +363,21 @@ def test_resource_bounds(knuth_like, monkeypatch):
         engine.enumerate_classes(9, knuth_like, mode="subword")
     with pytest.raises(ResourceLimitError):
         engine.enumerate_classes(13, knuth_like, allow_large=True)
-    monkeypatch.setenv("PERMCLASS_MEMORY_CAP_MB", "1")
+    monkeypatch.setenv("PERMCLASS_MEMORY_CAP_MB", "0.1")
     with pytest.raises(ResourceLimitError, match="PERMCLASS_MEMORY_CAP_MB"):
         engine.enumerate_classes(8, knuth_like)
+
+
+def test_memory_checked_again_over_known_classes(monkeypatch):
+    # {1234,4321} at n=9 has few edges (about 0.5 MB of estimate over one
+    # class of S_8) but 31990 classes of S_8 (18 MB): the closure refuses
+    # its last step once it knows them
+    K = relation.parse_partition("{1234,4321}")
+    monkeypatch.setenv("PERMCLASS_MEMORY_CAP_MB", "5")
+    assert engine.estimate_bytes(9, "factor", K) < 5 * 2**20
+    with pytest.raises(ResourceLimitError, match="PERMCLASS_MEMORY_CAP_MB"):
+        engine.enumerate_classes(9, K)
+    assert engine.enumerate_classes(8, K).num_classes == 31990
 
 
 def test_class_of_cap(knuth_like):
@@ -457,7 +486,7 @@ def peak_rss():
 n, mode, K = int(sys.argv[1]), sys.argv[2], relation.parse_partition(sys.argv[3])
 engine.enumerate_classes(5, K, mode)
 before = peak_rss()
-engine.enumerate_classes(n, K, mode)
+engine.enumerate_classes(n, K, mode, allow_large=True)
 print(peak_rss() - before)
 """
 
@@ -466,16 +495,22 @@ print(peak_rss() - before)
     (10, "factor", "{132,231}{213,312}"),
     (8, "subword", "{123,132,213,231}"),
     (8, "subword", "{123,321}{132,231}"),
+    (10, "factor", "{123,132,213,231,312,321}"),
+    (9, "subword", "{123,132,213,231,312,321}"),
+    (9, "factor", "{1234,4321}"),
 ])
 def test_estimate_bytes_bounds_measured_growth(n, mode, key):
     # the peak-RSS growth of one enumeration in a fresh process, after a
-    # warm n=5 run has paid for the imports
+    # warm n=5 run has paid for the imports, against the estimate over the
+    # classes of S_{n-1} that the closure checks before its last step
     src = os.path.dirname(os.path.dirname(permclass.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", _GROWTH, str(n), mode, key], env=env,
                          capture_output=True, text=True, check=True)
     growth = int(out.stdout)
-    assert growth <= engine.estimate_bytes(n, mode) <= 4 * growth
+    K = relation.parse_partition(key)
+    classes = engine.enumerate_classes(n - 1, K, mode).num_classes
+    assert growth <= engine.estimate_bytes(n, mode, K, classes) <= 4 * growth
 
 
 @lru_cache(maxsize=None)
