@@ -18,12 +18,13 @@ last position make edges.  Both modes read their edges from the
 Lehmer-digit grid: a rewrite changes only the digits from its first to
 its last rewritten position, so a local rule over those digits,
 broadcast over the others, gives every edge of a window or an index set
-(kernels_numpy.factor_edges, subword_edges).  Each step is closed one
+(kernels_numpy.factor_edges, over the classes of S_{k-1}, and
+subword_edges).  Each step is closed one
 batch at a time by root hooking over one int32 root array, so no step
-holds more than one batch's edges: in factor mode whole first digits of
-the first window's local pairs, up to a fixed edge budget, read as rows
-of the class ids of S_{k-1}; in subword mode one join slice or index
-set.  The class sizes and minimal ranks come from the last step's nodes.
+holds more than one batch's edges: in factor mode the first window's
+local pairs read as rows of the class ids of S_{k-1}, the whole step
+within a fixed edge budget, else one first digit a batch; in subword
+mode one join slice or index set.  The class sizes and minimal ranks come from the last step's nodes.
 ``hit_mask`` and the avoider counts use the same digit grid.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
@@ -40,7 +41,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -152,13 +153,10 @@ def estimate_bytes(
     default; the closure checks again before that step, when the number is
     known).
 
-    A part of the partition gives ``C(|part|, 2) * (n-c)!`` edges a window
-    prefix, read off the local pairs (a, b) with a's pattern of lower id.
-    Prefixes with first letter d and a pattern whose first letter is v-th
-    smallest number ``C(d, v-1) * C(n-1-d, c-v)``, so the edges of each
-    first digit of a are known in closed form; over all first digits they
-    come to e = sum C(|part|, 2) / c! a rank.  Without a partition the
-    single part of all of S_3 is charged, 2.5 edges a rank.
+    The edges come from ``kernels_numpy.factor_step_edges``: the first
+    window's edges of S_n, e = sum C(|part|, 2) / c! a rank, and the most
+    that one factor batch holds.  Without a partition the single part of
+    all of S_3 is charged, 2.5 edges a rank.
 
     Both modes charge 64 B a node (n * classes tail nodes, and as many head
     nodes in subword mode): the root array and its pointer jumps, the
@@ -166,31 +164,22 @@ def estimate_bytes(
     temporaries.  Factor mode also holds the int32 class ids of S_{n-1}
     (4 B a rank of S_{n-1}) and one batch of the first window's edges,
     24 B an edge (the node pair, its root images and the closure's
-    filtered copies).  A batch is the whole step where it fits in
-    kernels_numpy._BATCH_EDGES, else up to that many edges, or one first
-    digit's where more.
+    filtered copies).
 
     Subword mode holds per rank the int32 node array, the int8 full-span
     rows (n B) and one index set's pattern scan with the head and last
     arrays of S_{n-1}, 32 + n B together, and one index set's edges
-    through both ends (e a rank) or one join slice (1/n a rank), 24 B an
-    edge (its int32 local pairs, then its rank edges and their node
-    images, then the closure's copies).
+    through both ends (e a rank, as many as the first window's) or one
+    join slice (1/n a rank), 24 B an edge (its int32 local pairs, then its
+    rank edges and their node images, then the closure's copies).
     """
     if partition is None:
         partition = relation.make_partition([list(perms.all_perms(3))])
-    c = partition.c
-    pairs = [0] * n
-    for part in partition.nontrivial_parts:
-        for j, p in enumerate(sorted(part)):
-            for d in range(n):
-                pairs[d] += (len(part) - 1 - j) * comb(d, p[0] - 1) * comb(n - 1 - d, c - p[0])
-    edges = [x * factorial(max(n - c, 0)) for x in pairs]
+    edges, batch = kernels_numpy.factor_step_edges(n, build_tables(partition))
     if mode == "factor":
-        batch = min(sum(edges), max(kernels_numpy._BATCH_EDGES, max(edges)))
         return 64 * n * classes + 4 * factorial(n - 1) + 24 * batch
     nodes = 2 * n * classes
-    return 64 * nodes + factorial(n) * (32 + n) + 24 * max(sum(edges), factorial(n - 1))
+    return 64 * nodes + factorial(n) * (32 + n) + 24 * max(edges, factorial(n - 1))
 
 
 def _check_bounds(

@@ -26,10 +26,11 @@ so the step joins the two closures and adds only the index sets through
 both ends.  ``connected_class_ids`` closes a step's edges one batch at a
 time by root hooking and pointer jumping over one int32 root array, so no
 step holds more than one batch's edges; each class's size and minimal
-rank are read off the step's nodes.  A factor batch is whole first digits
-of the first window's local pairs, up to _BATCH_EDGES edges, mapped to
-nodes straight from rows of the class ids of the step before, so factor
-mode builds no k!-sized array; subword batches are one join slice or one
+rank are read off the step's nodes.  A factor step's batch is the first
+window's local pairs (``factor_edges``), the whole step if it has at
+most _BATCH_EDGES edges, else one first digit at a time, mapped to nodes
+straight from rows of the class ids of the step before, so factor mode
+builds no k!-sized array; subword batches are one join slice or one
 index set.  The ids of S_n are left as the last step's tail nodes and the
 ids of S_{n-1}, for the caller to gather if it needs them.
 """
@@ -146,22 +147,16 @@ def _grid_edges(n: int, tab: PatternTables, idx) -> tuple[np.ndarray, np.ndarray
     )
 
 
-def factor_edges(n: int, tab: PatternTables, i: int):
-    """Undirected factor-transformation edges of the window starting at
-    position i, as (src, dst) rank arrays from the digit grid."""
-    return _grid_edges(n, tab, range(i, i + tab.c))
-
-
 def subword_edges(n: int, tab: PatternTables, idx):
     """Undirected subword-transformation edges at the index set idx, as
     (src, dst) rank arrays from the digit grid."""
     return _grid_edges(n, tab, idx)
 
 
-# Most window-0 edges a factor batch holds, unless one first digit has
-# more.  A step within it (S_9 under parts of 1/3 edge a rank) closes in
-# one batch, with no per-digit overhead; a larger step holds one batch of
-# whole first digits at a time, not the step.
+# Most window-0 edges a factor step closes in one batch.  A step within it
+# (S_9 under parts of 1/3 edge a rank) closes in one batch, with no
+# per-digit overhead; a larger step holds one first digit's edges at a
+# time, not the step.
 _BATCH_EDGES = 1 << 17
 
 
@@ -236,9 +231,9 @@ def _head_last(k: int, d: int, head: np.ndarray, last: np.ndarray):
 
 def _batches(k, tab, mode, cls, num, head, last) -> Iterator:
     """The edges of S_k left to close over its nodes (class_ids), as node
-    pairs, one batch at a time: in factor mode the first window, whole
-    first digits a batch; in subword mode the join of each first digit's tail and head nodes, then
-    the index sets through positions 0 and k-1."""
+    pairs, one batch at a time: in factor mode the first window
+    (``_factor_batches``); in subword mode the join of each first digit's
+    tail and head nodes, then the index sets through positions 0 and k-1."""
     if mode == "factor":
         if k >= tab.c:
             yield from _factor_batches(k, tab, cls, num)
@@ -253,40 +248,55 @@ def _batches(k, tab, mode, cls, num, head, last) -> Iterator:
             yield _through(node, subword_edges(k, tab, (0, *mid, k - 1)))
 
 
-def _factor_batches(k: int, tab: PatternTables, cls: np.ndarray, num: int) -> Iterator:
-    """The first window's edges of S_k as tail-node pairs, whole first
-    digits at a time, in batches of up to _BATCH_EDGES edges (or one first
-    digit's, if more).
-
-    A local pair (a, b) of the window gives the ranks ``a * S + suf`` and
-    ``b * S + suf`` for every suf < S = (k-c)!.  Rank ``a * S + suf`` has
-    first digit ``a // L``, L = (k-1)!/(k-c)!, and tail rank
-    ``(a % L) * S + suf``: its tail nodes are row ``a % L`` of
-    ``cls.reshape(L, S)`` offset by ``(a // L) * num``.
-    """
+def _first_window(k: int, tab: PatternTables):
+    """The first window's local pairs (a, b) of S_k and the bounds of its
+    batches: one batch if the step's edges fit in _BATCH_EDGES, else the
+    pairs sorted by a and one first digit a batch."""
     c = tab.c
-    stride = factorial(k - c)
-    rows = cls.reshape(-1, stride)
     a, b = _local_pairs(k, c, list(range(c)), tab)
-    bounds = [0, len(a)]
-    if len(a) * stride > _BATCH_EDGES:
-        order = np.argsort(a, kind="stable")
-        a, b = a[order], b[order]
-        bounds, done = [0], 0
-        for end in np.searchsorted(a, np.arange(1, k + 1) * len(rows)):
-            # close the batch before a first digit that would take it past the budget
-            if (end - bounds[-1]) * stride > _BATCH_EDGES and done > bounds[-1]:
-                bounds.append(done)
-            done = end
-        bounds.append(done)
+    if len(a) * factorial(k - c) <= _BATCH_EDGES:
+        return a, b, [0, len(a)]
+    order = np.argsort(a, kind="stable")
+    a, b = a[order], b[order]
+    per_digit = factorial(k - 1) // factorial(k - c)
+    return a, b, [0, *np.searchsorted(a, np.arange(1, k + 1) * per_digit)]
+
+
+def factor_step_edges(k: int, tab: PatternTables) -> tuple[int, int]:
+    """(edges, batch): the first window's edges of S_k, and the most that
+    one of its batches holds (both 0 below c letters)."""
+    if k < tab.c:
+        return 0, 0
+    a, _, bounds = _first_window(k, tab)
+    stride = factorial(k - tab.c)
+    return len(a) * stride, int(np.diff(bounds).max()) * stride
+
+
+def _factor_batches(k: int, tab: PatternTables, cls: np.ndarray, num: int) -> Iterator:
+    """The first window's edges of S_k as tail-node pairs, one batch of
+    ``_first_window`` at a time."""
+    a, b, bounds = _first_window(k, tab)
+    rows = cls.reshape(-1, factorial(k - tab.c))
     for lo, hi in zip(bounds, bounds[1:]):
         if hi > lo:
-            yield _tail_nodes(a[lo:hi], rows, num), _tail_nodes(b[lo:hi], rows, num)
+            yield factor_edges(a[lo:hi], b[lo:hi], rows, num)
+
+
+def factor_edges(a: np.ndarray, b: np.ndarray, rows: np.ndarray, num: int):
+    """Undirected factor-transformation edges of the first window of S_k
+    at its local pairs (a, b), as (src, dst) tail-node arrays.
+
+    A local pair (a, b) gives the ranks ``a * S + suf`` and ``b * S + suf``
+    for every suf < S = (k-c)!.  Rank ``a * S + suf`` has first digit
+    ``a // L``, L = (k-1)!/(k-c)!, and tail rank ``(a % L) * S + suf``: its
+    tail nodes are row ``a % L`` of the (L, S) class ids ``rows`` of
+    S_{k-1}, offset by ``(a // L) * num``.
+    """
+    return _tail_nodes(a, rows, num), _tail_nodes(b, rows, num)
 
 
 def _tail_nodes(loc: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
-    """The tail nodes of the ranks ``loc * S + suf`` (suf < S), loc by loc:
-    row ``loc % L`` of the (L, S) class ids offset by ``(loc // L) * num``."""
+    """The tail nodes of the ranks ``loc * S + suf`` (suf < S), loc by loc."""
     first, tail = np.divmod(loc, len(rows))
     return ((first * num).astype(np.int32)[:, None] + rows[tail]).ravel()
 

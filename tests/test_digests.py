@@ -80,6 +80,8 @@ def test_factor_digests_hold_at_either_batch_budget(monkeypatch, budget):
     firsts = {int(a // 42) for a in kn._local_pairs(8, 3, [0, 1, 2], tab)[0]}
     batches = list(kn._factor_batches(8, tab, np.zeros(factorial(7), dtype=np.int32), 1))
     assert len(batches) == (len(firsts) if budget == 0 else 1)
+    sizes = [len(src) for src, _ in batches]
+    assert kn.factor_step_edges(8, tab) == (sum(sizes), max(sizes))
     recorded = _recorded()
     for mode, key, ns in cases():
         if mode == "factor":

@@ -138,6 +138,12 @@ def _edge_set(src, dst):
     return np.unique(pairs, axis=0)
 
 
+def _window_edges(n, tab, i):
+    """The rank edges of the window at position i: those of the index set
+    of its c positions."""
+    return kn.subword_edges(n, tab, range(i, i + tab.c))
+
+
 def _table_edges(n, K, idx):
     """Independent edges at the index set idx: the rows of _unrank_table
     whose letters there form a nontrivial pattern, rewritten to every other
@@ -165,8 +171,12 @@ def test_backends_identical(knuth_like):
         for n in range(K.c, 8):
             windows = [list(range(i, i + K.c)) for i in range(n - K.c + 1)]
             src, dst = _concat(_table_edges(n, K, idx) for idx in windows)
-            grid = _concat(kn.factor_edges(n, tab, idx[0]) for idx in windows)
+            grid = _concat(_window_edges(n, tab, idx[0]) for idx in windows)
             assert np.array_equal(_edge_set(*grid), _edge_set(src, dst))
+            # over the identity classes of S_{n-1}, a tail node is a rank
+            ident = np.arange(factorial(n - 1), dtype=np.int32)
+            first = _concat(kn._factor_batches(n, tab, ident, factorial(n - 1)))
+            assert np.array_equal(_edge_set(*first), _edge_set(*_table_edges(n, K, windows[0])))
             for idx in itertools.combinations(range(n), K.c):
                 expected = _edge_set(*_table_edges(n, K, list(idx)))
                 assert np.array_equal(_edge_set(*kn.subword_edges(n, tab, idx)), expected)
@@ -197,7 +207,7 @@ def _check_class_ids(n, tab, mode, key):
     assert len(prev) == factorial(n - 1) and len(tail) % n == 0
     class_id = tail.reshape(n, -1)[:, prev].ravel()
     if mode == "factor":
-        batches = [kn.factor_edges(n, tab, i) for i in range(n - tab.c + 1)]
+        batches = [_window_edges(n, tab, i) for i in range(n - tab.c + 1)]
     else:
         idxs = itertools.combinations(range(n), tab.c)
         batches = [kn.subword_edges(n, tab, idx) for idx in idxs]
@@ -260,7 +270,7 @@ def test_connected_class_ids_independent_of_batch_order():
     # random half of the edges swapped
     rng = np.random.default_rng(8)
     tab = build_tables(relation.parse_partition("{132,231}{213,312}"))
-    cases = [(factorial(8), [kn.factor_edges(8, tab, i) for i in range(6)])]
+    cases = [(factorial(8), [_window_edges(8, tab, i) for i in range(6)])]
     edges = rng.integers(0, 500, size=(20, 2, 15)).astype(np.int32)
     cases.append((500, [(s, d) for s, d in edges]))
     for total, batches in cases:
