@@ -158,28 +158,28 @@ def estimate_bytes(
     that one factor batch holds.  Without a partition the single part of
     all of S_3 is charged, 2.5 edges a rank.
 
-    Both modes charge 64 B a node (n * classes tail nodes, and as many head
+    Both modes charge 40 B a node (n * classes tail nodes, and as many head
     nodes in subword mode): the root array and its pointer jumps, the
-    numbered ids, and each class's size and minimal rank with their
-    temporaries.  Factor mode also holds the int32 class ids of S_{n-1}
-    (4 B a rank of S_{n-1}) and one batch of the first window's edges,
-    24 B an edge (the node pair, its root images and the closure's
-    filtered copies).
+    numbered ids, and each class's int64 size and minimal rank.  Factor
+    mode also holds the int32 class ids of S_{n-1} (4 B a rank of S_{n-1})
+    and one batch of the first window's edges, 24 B an edge (the node pair,
+    its root images and the closure's filtered copies).
 
-    Subword mode holds per rank the int32 node array, the int8 full-span
-    rows (n B) and one index set's pattern scan with the head and last
-    arrays of S_{n-1}, 32 + n B together, and one index set's edges
-    through both ends (e a rank, as many as the first window's) or one
-    join slice (1/n a rank), 24 B an edge (its int32 local pairs, then its
-    rank edges and their node images, then the closure's copies).
+    Subword mode holds per rank the column-major letters of S_n (n B), the
+    int32 node array and one index set's pattern ids, interleave code and
+    pattern rows, with the head and last arrays of S_{n-1}, n + 14 B
+    together, and one index set's edges through both ends (e a rank, as
+    many as the first window's) or one join slice (1/n a rank), 24 B an
+    edge (its int32 local pairs, which are its rank edges, their node
+    images and the closure's copies).
     """
     if partition is None:
         partition = relation.make_partition([list(perms.all_perms(3))])
     edges, batch = kernels_numpy.factor_step_edges(n, build_tables(partition))
     if mode == "factor":
-        return 64 * n * classes + 4 * factorial(n - 1) + 24 * batch
+        return 40 * n * classes + 4 * factorial(n - 1) + 24 * batch
     nodes = 2 * n * classes
-    return 64 * nodes + factorial(n) * (32 + n) + 24 * max(edges, factorial(n - 1))
+    return 40 * nodes + factorial(n) * (n + 14) + 24 * max(edges, factorial(n - 1))
 
 
 def _check_bounds(

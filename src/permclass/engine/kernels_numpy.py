@@ -15,7 +15,13 @@ window (factor mode, span = c) or an index set (subword mode) by
 broadcasting over (pre, loc, suf); the hits and avoiders of factor mode
 read the same grid.  Subword mode only rewrites at index sets through the
 first and the last position, whose span is all k letters, so their local
-rule is S_k itself (``perm_table(k)``), built once per k.
+rule is S_k itself (``perm_table(k)``), built once per k, and their local
+pairs are their rank edges.  The letters of a local rule are kept
+column-major, one contiguous int8 row per letter position: the pattern
+at an index set reads c of those rows, and a rewrite's target loc is its
+own loc plus a delta read off the letters it moves and how the other
+letters interleave with them (``_local_pairs``), so no row of letters is
+copied or re-ranked.
 
 ``class_ids`` closes the edges of either mode one letter at a time, from
 S_1: a rewrite that leaves the first letter alone acts on the rank of the
@@ -49,7 +55,9 @@ from .tables import PatternTables
 
 def perm_table(n: int, span: int | None = None) -> np.ndarray:
     """The span-letter prefixes of S_n (all of S_n by default) in
-    lexicographic order, as an (n!/(n-span)!, span) int8/int16 array.
+    lexicographic order, as an (n!/(n-span)!, span) int8/int16 array in
+    column-major order, so its transpose holds each letter position as one
+    contiguous row.
 
     Built block-recursively from k = n-span+1 letters up: the block of
     prefixes of S_k with first letter a is ``[a, prev + (prev >= a)]`` over
@@ -57,10 +65,10 @@ def perm_table(n: int, span: int | None = None) -> np.ndarray:
     """
     span = n if span is None else span
     dtype = np.int8 if n <= 127 else np.int16
-    table = np.zeros((1, 0), dtype=dtype)
+    table = np.zeros((1, 0), dtype=dtype, order="F")
     for k in range(n - span + 1, n + 1):
         prev, block = table, len(table)
-        table = np.empty((block * k, prev.shape[1] + 1), dtype=dtype)
+        table = np.empty((block * k, prev.shape[1] + 1), dtype=dtype, order="F")
         for a in range(1, k + 1):
             rows = table[(a - 1) * block : a * block]
             rows[:, 0] = a
@@ -70,36 +78,25 @@ def perm_table(n: int, span: int | None = None) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def window_letters(m: int, span: int) -> np.ndarray:
-    """The first span letters (0-based) of a permutation of m letters, one
-    row per value of their digits loc: the span-prefixes of S_m in
-    lexicographic order, so row loc has digits reading loc.  Every (m,
-    span) is cached: factor mode asks for the same windows on every call,
-    and subword mode for one full span (all of S_m, 3.3 MB at m=9) a
-    step."""
-    rows = perm_table(m, span)
-    rows -= 1
-    rows.flags.writeable = False
-    return rows
+    """The first span letters (0-based) of a permutation of m letters for
+    each value of their digits loc, column-major: a (span, m!/(m-span)!)
+    array whose row j holds letter j of every loc, contiguous, and whose
+    column loc has digits reading loc (the transposed span-prefixes of S_m
+    in lexicographic order).  Every (m, span) is cached in this one layout:
+    factor mode asks for the same windows on every call, and subword mode
+    for one full span a step (all of S_m, m * m! bytes: 3.3 MB at m=9,
+    36 MB at m=10)."""
+    cols = perm_table(m, span).T
+    cols -= 1
+    cols.flags.writeable = False
+    return cols
 
 
-def local_index(letters: np.ndarray, m: int) -> np.ndarray:
-    """loc of each row of window letters: digit j is letter j less the
-    earlier window letters below it, read in radix m, m-1, ..., m-span+1."""
-    cols = np.ascontiguousarray(letters.T)
-    loc = np.zeros(len(letters), dtype=np.int64)
-    for j in range(len(cols)):
-        digit = cols[j].copy()
-        for k in range(j):
-            digit -= cols[k] < cols[j]
-        loc = loc * (m - j) + digit
-    return loc
-
-
-def _pattern_ids(letters: np.ndarray) -> np.ndarray:
-    """S_c pattern id (Lehmer rank) of each row of c distinct letters."""
-    cols = letters.T
+def _pattern_ids(cols) -> np.ndarray:
+    """S_c pattern id (Lehmer rank) of the letters in c equal-length columns,
+    one id per row."""
     c = len(cols)
-    pid = np.zeros(len(letters), dtype=np.int32)
+    pid = np.zeros(len(cols[0]), dtype=np.min_scalar_type(factorial(c) - 1))
     for j in range(c):
         pid *= c - j
         for k in range(j + 1, c):
@@ -116,34 +113,92 @@ def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarra
     """The local edges (a, b) of the rewrites at the columns cols of the
     first span letters of S_m, as int32 loc arrays: a is a loc whose
     pattern at cols has a partner with a larger id, b the loc rewritten to
-    that partner."""
+    that partner.
+
+    The loc of letters L_0..L_{span-1} is ``sum_j (L_j - E_j) * w_j``, where
+    E_j counts the earlier letters below L_j and w_j is the weight of digit
+    j.  The rewrite from pattern t to partner q moves the letter at cols[i]
+    to cols[dest[i]], where dest depends on t and q alone, and keeps every
+    other letter.  So b - a is the change in the moved letters' own terms,
+    linear in those letters, less the change in the E pairs with an end at
+    cols, which depends only on how many moved letters lie below each
+    other letter: a table (``_pair_weights``) over the code of
+    ``_interleave``.  Each pattern's rows are gathered one letter column at
+    a time; no row is copied or ranked again.
+    """
     letters = window_letters(m, span)
-    pid = _pattern_ids(letters[:, cols])
+    cols = list(cols)
+    moved = [letters[j] for j in cols]
+    others = [j for j in range(span) if j not in cols]
+    weight = [factorial(m - 1 - j) // factorial(m - span) for j in range(span)]
+    onel = tab.pat_onel - 1
+    sources = np.flatnonzero(np.diff(tab.partners_ptr)).tolist()
+    pairs = {t: _pair_weights(onel[t], cols, others, weight)
+             for t in set(sources) | set(tab.partners_idx.tolist())}
+    code = _interleave(letters, moved, others)
+    pid = _pattern_ids(moved)
     a_parts, b_parts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
-    for t in np.flatnonzero(np.diff(tab.partners_ptr)):
+    for t in sources:
         rows = np.flatnonzero(pid == t)
-        here = letters[rows]
-        ordered = np.sort(here[:, cols], axis=1)
-        for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]]:
-            moved = here.copy()
-            moved[:, cols] = ordered[:, tab.pat_onel[q] - 1]
-            a_parts.append(rows.astype(np.int32))
-            b_parts.append(local_index(moved, m).astype(np.int32))
+        a, at = rows.astype(np.int32), code[rows]
+        here = [x[rows] for x in moved]
+        for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]].tolist():
+            dest = np.argsort(onel[q])[onel[t]]
+            b = a + (pairs[t] - pairs[q]).astype(np.int32)[at]
+            for x, j, d in zip(here, cols, dest):
+                if cols[d] != j:
+                    b += np.multiply(x, weight[cols[d]] - weight[j], dtype=np.int32)
+            a_parts.append(a)
+            b_parts.append(b)
     return np.concatenate(a_parts), np.concatenate(b_parts)
+
+
+def _interleave(letters: np.ndarray, moved: list, others: list) -> np.ndarray:
+    """For each loc, the number of moved letters below the letter at each
+    column j of others, read as one code in radix len(moved) + 1."""
+    radix = len(moved) + 1
+    code = np.zeros(letters.shape[1], dtype=np.min_scalar_type(radix ** len(others) - 1))
+    for j in others:
+        code *= radix
+        for x in moved:
+            code += x < letters[j]
+    return code
+
+
+def _pair_weights(ranks: np.ndarray, cols: list, others: list, weight: list) -> np.ndarray:
+    """The sum of w_j over the pairs k < j of letters with L_k < L_j and k
+    or j in cols, where the letter at cols[i] has rank ranks[i] among the
+    letters at cols, as a table over the code of ``_interleave``.  With R
+    moved letters below L_j, j not in cols, the letter at cols[i] lies
+    below L_j iff ranks[i] < R."""
+    c = len(cols)
+    fixed = sum(weight[cols[y]] for x in range(c) for y in range(x + 1, c) if ranks[x] < ranks[y])
+    table = np.full(1, fixed, dtype=np.int64)
+    below = ranks[:, None] < np.arange(c + 1)
+    later = np.array([weight[j] for j in cols])[:, None]
+    for j in others:
+        before = (np.array(cols) < j)[:, None]
+        term = np.where(before, below * weight[j], ~below * later).sum(axis=0)
+        table = (table[:, None] + term).ravel()
+    return table
 
 
 def _grid_edges(n: int, tab: PatternTables, idx) -> tuple[np.ndarray, np.ndarray]:
     """Undirected edges of the rewrites at the index set idx as (src, dst)
     rank arrays, ``pre * m! + loc * (m-span)! + suf`` over the local edges
-    (a, b) of ``_local_pairs``."""
-    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
+    (a, b) of ``_local_pairs``; an index set from the first to the last
+    position has no pre or suf, so its local edges are its rank edges."""
     i, m, span = idx[0], n - idx[0], idx[-1] - idx[0] + 1
+    local = _local_pairs(m, span, [j - i for j in idx], tab)
+    if span == n:
+        return local
+    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
     stride = factorial(m - span)
     pre = np.arange(factorial(n) // factorial(m), dtype=dtype) * factorial(m)
     suf = np.arange(stride, dtype=dtype)
     return tuple(
         (pre[:, None, None] + (loc.astype(dtype, copy=False) * stride)[:, None] + suf).ravel()
-        for loc in _local_pairs(m, span, [j - i for j in idx], tab)
+        for loc in local
     )
 
 
@@ -209,15 +264,30 @@ def class_ids(
         batches = _batches(k, tab, mode, prev, num, head, last)
         comp, new_num = connected_class_ids(total, batches)
         tail = comp[: k * num]
-        sizes_k = np.zeros(new_num, dtype=np.int64)
-        np.add.at(sizes_k, tail, np.tile(sizes, k))
-        # each class's root is its first tail node: where the running max steps
-        roots = np.flatnonzero(np.diff(np.maximum.accumulate(tail), prepend=-1))
-        sizes, reps = sizes_k, roots // num * factorial(k - 1) + reps[roots % num]
+        sizes, reps = _sizes_reps(k, tail, num, new_num, sizes, reps)
         if mode == "subword" and k < n:
             parts = [_head_last(k, d, head, last) for d in range(k)]
             head, last = (np.concatenate(col) for col in zip(*parts))
     return tail, prev, sizes, reps
+
+
+def _sizes_reps(k: int, tail: np.ndarray, num: int, new_num: int, sizes, reps):
+    """Each class's size and minimal rank in S_k from the tail nodes, one
+    first digit d at a time: node ``d * num + c`` holds sizes[c] ranks, the
+    least ``d * (k-1)! + reps[c]``.  Ids follow minimal node, so the
+    classes first met in block d take the next ids, at the steps of the
+    running max."""
+    sizes_k = np.zeros(new_num, dtype=np.int64)
+    reps_k = np.empty(new_num, dtype=np.int64)
+    top = -1
+    for d in range(k):
+        block = tail[d * num : (d + 1) * num]
+        np.add.at(sizes_k, block, sizes)
+        run = np.maximum(np.maximum.accumulate(block), top)
+        first = np.flatnonzero(np.diff(run, prepend=top))
+        reps_k[top + 1 : top + 1 + len(first)] = reps[first] + d * factorial(k - 1)
+        top = int(run[-1])
+    return sizes_k, reps_k
 
 
 def _head_last(k: int, d: int, head: np.ndarray, last: np.ndarray):

@@ -164,8 +164,12 @@ def _table_edges(n, K, idx):
 def test_backends_identical(knuth_like):
     # The digit-grid edges of every window (index set) against the rows of
     # a permutation table rewritten there, and the letter-by-letter closure
-    # against csgraph over the table's edges of every window.
-    for key in ("{123,321}{132,231}", "{132,231}{213,312}", "{123,132,231}"):
+    # against csgraph over the table's edges of every window.  The c=4
+    # relation and the part of all of S_3 give index sets with two gaps and
+    # five partners to one pattern.
+    keys = ("{123,321}{132,231}", "{132,231}{213,312}", "{123,132,231}",
+            "{1234,1243}{2134,2143}", "{123,132,213,231,312,321}")
+    for key in keys:
         K = relation.parse_partition(key)
         tab = build_tables(K)
         for n in range(K.c, 8):
@@ -548,11 +552,24 @@ def test_perm_table_matches_unrank():
             assert np.array_equal(kn.perm_table(n, span), expected), (n, span)
 
 
+def local_index(letters: np.ndarray, m: int) -> np.ndarray:
+    """loc of each row of window letters: digit j is letter j less the
+    earlier window letters below it, read in radix m, m-1, ..., m-span+1."""
+    cols = np.ascontiguousarray(letters.T)
+    loc = np.zeros(len(letters), dtype=np.int64)
+    for j in range(len(cols)):
+        digit = cols[j].copy()
+        for k in range(j):
+            digit -= cols[k] < cols[j]
+        loc = loc * (m - j) + digit
+    return loc
+
+
 def test_window_letters_in_local_index_order():
     for m, c in ((3, 3), (5, 2), (7, 3), (8, 4), (8, 8)):
         letters = kn.window_letters(m, c)
-        assert len(letters) == factorial(m) // factorial(m - c)
-        assert np.array_equal(kn.local_index(letters, m), np.arange(len(letters)))
+        assert letters.shape == (c, factorial(m) // factorial(m - c))
+        assert np.array_equal(local_index(letters.T, m), np.arange(letters.shape[1]))
 
 
 @pytest.mark.parametrize("c", [2, 3, 4])
@@ -571,8 +588,8 @@ def test_digit_rule_lemma_exhaustive(c):
             loc = ranks % factorial(m) // stride
             outside = ranks - loc * stride  # pre * m! + suf
             win = table[:, idx]
-            rule = kn.window_letters(m, span)[loc]
-            assert np.array_equal(kn._pattern_ids(rule[:, cols]), _lehmer_ranks(win))
+            rule = kn.window_letters(m, span).T[loc]
+            assert np.array_equal(kn._pattern_ids(rule[:, cols].T), _lehmer_ranks(win))
             if span == c:
                 assert np.array_equal(kn.window_pattern_ids(m, c)[loc], _lehmer_ranks(win))
             rule_sorted, letters = np.sort(rule[:, cols], axis=1), np.sort(win, axis=1)
@@ -581,7 +598,7 @@ def test_digit_rule_lemma_exhaustive(c):
                 moved[:, idx] = letters[:, q]
                 rewritten = rule.copy()
                 rewritten[:, cols] = rule_sorted[:, q]
-                got = outside + kn.local_index(rewritten, m) * stride
+                got = outside + local_index(rewritten, m) * stride
                 assert np.array_equal(got, _lehmer_ranks(moved)), (n, idx, q)
 
 
@@ -612,15 +629,15 @@ def test_digit_rule_lemma_to_n20(data):
     rule = np.array([_loc_letters(loc, m, span)])
     assert list(rule[0] + 1) == list(perms.standardize(p[i:])[:span])
     if factorial(m) // stride <= 10**5:
-        assert np.array_equal(kn.window_letters(m, span)[loc], rule[0])
+        assert np.array_equal(kn.window_letters(m, span)[:, loc], rule[0])
     pattern = perms.rank(perms.standardize([p[j] for j in idx]))
-    assert kn._pattern_ids(rule[:, cols])[0] == pattern
+    assert kn._pattern_ids(rule[:, cols].T)[0] == pattern
     letters = sorted(p[j] for j in idx)
     target = list(p)
     for j, x in zip(idx, q):
         target[j] = letters[x]
     rule[0, cols] = np.sort(rule[0, cols])[list(q)]
-    assert perms.rank(target) == pre * factorial(m) + int(kn.local_index(rule, m)[0]) * stride + suf
+    assert perms.rank(target) == pre * factorial(m) + int(local_index(rule, m)[0]) * stride + suf
 
 
 def test_hit_mask_matches_scan():
