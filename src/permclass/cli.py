@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -272,7 +273,11 @@ def _cmd_theorem(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    request: parsing leaves it unchanged, and each parse returns a fresh
+    namespace."""
     ap = argparse.ArgumentParser(
         prog="permclass",
         description="Pattern-replacement equivalence classes on permutations",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import permclass
 from permclass import cli, engine, oracle
@@ -303,3 +306,91 @@ def test_count_does_not_import_scipy():
                          capture_output=True, text=True, check=True)
     assert "num_classes=" in out.stdout
     assert out.stderr == "[]\n"
+
+
+_MIXED = [
+    ("count", "--partition", "{123,132,231}", "--n", "5"),
+    ("classes", "--partition", "{132,231}{213,312}", "--perm", "13254"),
+    ("count", "--partition", "{123,1x2}", "--n", "4"),
+    ("count", "--partition", "{123,132}", "--n", "11"),
+    ("count", "--partition", "{123,132}", "--n", "x"),
+    ("orbit", "--partition", "{123,132}{213,231}", "--format", "json"),
+    ("count", "--partition", "{123,132,231}", "--n", "4", "--mode", "subword",
+     "--format", "csv", "--with-identity"),
+    ("count", "--partition", "{123,132,231}", "--n", "5"),
+]
+
+_ONE_PROCESS = """
+import contextlib, io, json, sys
+from permclass import cli
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_requests_in_one_process_match_separate_calls():
+    # one cached parser serves every request of a process: mixed
+    # subcommands, errors among them, print and exit as they do alone
+    assert cli.build_parser() is cli.build_parser()
+    src = os.path.dirname(os.path.dirname(permclass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    together = subprocess.run([sys.executable, "-c", _ONE_PROCESS, json.dumps(_MIXED)],
+                              env=env, capture_output=True, text=True, check=True)
+    alone = [subprocess.run([sys.executable, "-m", "permclass.cli", *argv], env=env,
+                            capture_output=True, text=True) for argv in _MIXED]
+    assert json.loads(together.stdout) == [[r.returncode, r.stdout] for r in alone]
+    assert [r.returncode for r in alone] == [0, 0, 2, 3, 2, 0, 0, 0]
+
+
+@st.composite
+def _parts_text(draw):
+    """Brace groups of distinct patterns of one length, then perhaps one
+    character overwritten."""
+    c = draw(st.integers(1, 4))
+    pats = draw(st.lists(st.permutations(range(1, c + 1)), max_size=6, unique_by=tuple))
+    groups = {}
+    for p in pats:
+        groups.setdefault(draw(st.integers(0, 2)), []).append("".join(map(str, p)))
+    text = "".join("{" + ",".join(g) + "}" for g in groups.values())
+    if text and draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from("{},0156x ")) + text[i + 1 :]
+    return text
+
+
+_PARTITION_TEXT = st.one_of(_parts_text(), st.text("{}123456789,x -", max_size=16))
+_PERM_TEXT = st.one_of(
+    st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda p: "".join(map(str, p))),
+    st.text("0123456789, ", max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cmd=st.sampled_from(["count", "classes"]), partition=_PARTITION_TEXT,
+       n=st.integers(-1, 6), perm=_PERM_TEXT, mode=st.sampled_from(["factor", "subword"]),
+       by_perm=st.booleans())
+def test_cli_fuzz_exits_cleanly(cmd, partition, n, perm, mode, by_perm):
+    # any count or classes request ends with exit 0, 2 or 3 and at most a
+    # one-line message, never a traceback
+    argv = [cmd, "--partition", partition, "--mode", mode]
+    argv += ["--perm", perm] if cmd == "classes" and by_perm else ["--n", str(n)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
