@@ -174,11 +174,11 @@ def _pair_weights(ranks: np.ndarray, cols: list, others: list, weight: list) -> 
     c = len(cols)
     fixed = sum(weight[cols[y]] for x in range(c) for y in range(x + 1, c) if ranks[x] < ranks[y])
     table = np.full(1, fixed, dtype=np.int64)
-    below = ranks[:, None] < np.arange(c + 1)
-    later = np.array([weight[j] for j in cols])[:, None]
+    below = ranks[:, None] < np.arange(c + 1)  # [i, R]
+    pos = np.array(cols)[:, None]
+    own = np.array([weight[j] for j in cols])[:, None]
     for j in others:
-        before = (np.array(cols) < j)[:, None]
-        term = np.where(before, below * weight[j], ~below * later).sum(axis=0)
+        term = np.where(pos < j, below * weight[j], ~below * own).sum(axis=0)
         table = (table[:, None] + term).ravel()
     return table
 

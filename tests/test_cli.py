@@ -380,8 +380,8 @@ _PERM_TEXT = st.one_of(
        n=st.integers(-1, 6), perm=_PERM_TEXT, mode=st.sampled_from(["factor", "subword"]),
        by_perm=st.booleans())
 def test_cli_fuzz_exits_cleanly(cmd, partition, n, perm, mode, by_perm):
-    # any count or classes request ends with exit 0, 2 or 3 and at most a
-    # one-line message, never a traceback
+    # any count or classes request ends with exit 0, 2 or 3, never with a
+    # traceback
     argv = [cmd, "--partition", partition, "--mode", mode]
     argv += ["--perm", perm] if cmd == "classes" and by_perm else ["--n", str(n)]
     out, err = io.StringIO(), io.StringIO()

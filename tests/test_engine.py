@@ -552,7 +552,7 @@ def test_perm_table_matches_unrank():
             assert np.array_equal(kn.perm_table(n, span), expected), (n, span)
 
 
-def local_index(letters: np.ndarray, m: int) -> np.ndarray:
+def _local_index(letters: np.ndarray, m: int) -> np.ndarray:
     """loc of each row of window letters: digit j is letter j less the
     earlier window letters below it, read in radix m, m-1, ..., m-span+1."""
     cols = np.ascontiguousarray(letters.T)
@@ -569,7 +569,7 @@ def test_window_letters_in_local_index_order():
     for m, c in ((3, 3), (5, 2), (7, 3), (8, 4), (8, 8)):
         letters = kn.window_letters(m, c)
         assert letters.shape == (c, factorial(m) // factorial(m - c))
-        assert np.array_equal(local_index(letters.T, m), np.arange(letters.shape[1]))
+        assert np.array_equal(_local_index(letters.T, m), np.arange(letters.shape[1]))
 
 
 @pytest.mark.parametrize("c", [2, 3, 4])
@@ -598,7 +598,7 @@ def test_digit_rule_lemma_exhaustive(c):
                 moved[:, idx] = letters[:, q]
                 rewritten = rule.copy()
                 rewritten[:, cols] = rule_sorted[:, q]
-                got = outside + local_index(rewritten, m) * stride
+                got = outside + _local_index(rewritten, m) * stride
                 assert np.array_equal(got, _lehmer_ranks(moved)), (n, idx, q)
 
 
@@ -637,7 +637,7 @@ def test_digit_rule_lemma_to_n20(data):
     for j, x in zip(idx, q):
         target[j] = letters[x]
     rule[0, cols] = np.sort(rule[0, cols])[list(q)]
-    assert perms.rank(target) == pre * factorial(m) + int(local_index(rule, m)[0]) * stride + suf
+    assert perms.rank(target) == pre * factorial(m) + int(_local_index(rule, m)[0]) * stride + suf
 
 
 def test_hit_mask_matches_scan():
