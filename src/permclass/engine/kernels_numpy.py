@@ -174,7 +174,7 @@ def _pair_weights(ranks: np.ndarray, cols: list, others: list, weight: list) -> 
     c = len(cols)
     fixed = sum(weight[cols[y]] for x in range(c) for y in range(x + 1, c) if ranks[x] < ranks[y])
     table = np.full(1, fixed, dtype=np.int64)
-    below = ranks[:, None] < np.arange(c + 1)  # [i, R]
+    below = ranks[:, None] < np.arange(c + 1)  # [i, R]: cols[i]'s letter below L_j
     pos = np.array(cols)[:, None]
     own = np.array([weight[j] for j in cols])[:, None]
     for j in others:
