@@ -98,18 +98,19 @@ def _cmd_classes(args) -> int:
     K = relation.parse_partition(args.partition)
     if args.perm:
         p = perms.parse_perm(args.perm)
-        cls = sorted(engine.class_of(p, K, mode=args.mode, max_size=args.max_class_size))
+        ranks = engine.class_of(p, K, mode=args.mode, max_size=args.max_class_size)
+        text = engine.format_ranks(ranks, len(p))
         if args.format == "json":
             data = {
                 "partition": K.text(),
                 "mode": args.mode,
                 "perm": perms.format_perm(p),
-                "class_size": len(cls),
-                "members": [perms.format_perm(q) for q in cls],
+                "class_size": len(ranks),
+                "members": text.splitlines(),
             }
             _emit(_json(data), args.output)
         else:
-            _emit("\n".join(perms.format_perm(q) for q in cls) + "\n", args.output)
+            _emit(text, args.output)
         return EXIT_OK
     if args.n is None:
         raise PermclassError("classes needs --n (full dump) or --perm (one class)")

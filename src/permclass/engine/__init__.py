@@ -27,6 +27,13 @@ within a fixed edge budget, else one first digit a batch; in subword
 mode one join slice or index set.  The class sizes and minimal ranks come from the last step's nodes.
 ``hit_mask`` and the avoider counts use the same digit grid.
 
+``class_of`` finds one class without the decomposition.  In factor mode it
+is a level-synchronous BFS over Lehmer ranks: a rewrite at window i moves
+a rank by a delta read off the window's digits alone, so one move table
+per (partition, n) (kernels_numpy.factor_moves) serves every level, which
+gathers the moves of its whole frontier at once.  Subword mode keeps a BFS
+over the rewrite targets of relation.rewrites.
+
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
 against the available RAM (and PERMCLASS_MEMORY_CAP_MB, if set), once
@@ -40,7 +47,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Callable, Iterable, Sequence
 
@@ -270,21 +277,57 @@ def enumerate_classes(
     )
 
 
+# Most entries of a cached factor move table (32 MiB of int64).  A table
+# has sum over m = c..n of m!/(m-c)! rows, times the largest part's size
+# less one: at n=20, 35910 rows at c=3 and 488376 at c=4, but 6.5M at c=5
+# and 83.7M at c=6, where the tuple BFS runs instead.
+_MOVE_TABLE_ENTRIES = 1 << 22
+
+
+def _move_table_entries(n: int, partition: ReplacementPartition) -> int:
+    c = partition.c
+    width = max((len(part) - 1 for part in partition.nontrivial_parts), default=0)
+    return width * sum(factorial(m) // factorial(m - c) for m in range(c, n + 1))
+
+
+@lru_cache(maxsize=8)
+def _factor_moves(partition: ReplacementPartition, n: int):
+    moves = kernels_numpy.factor_moves(n, build_tables(partition))
+    for arr in moves:
+        arr.flags.writeable = False
+    return moves
+
+
 def class_of(
     p: Sequence[int],
     partition: ReplacementPartition,
     mode: Mode = "factor",
     max_size: int | None = None,
-) -> set[Perm]:
-    """The class of p: a BFS over the rewrite targets of relation.rewrites.
+) -> np.ndarray:
+    """The class of p, as the sorted int64 Lehmer ranks of its members
+    (so in lexicographic order; ``len`` counts them).
 
-    Only the start is validated; the targets are plain tuples (no
-    Transformation records), and no n!-sized array is allocated.  More
-    than ``max_size`` members (default DEFAULT_CLASS_CAP) raise
-    ResourceLimitError.
+    Factor mode runs a level-synchronous BFS over ranks
+    (kernels_numpy.class_ranks) on the window moves of
+    kernels_numpy.factor_moves, built once per (partition, n).  Subword
+    mode, and factor mode where that table would pass
+    _MOVE_TABLE_ENTRIES, run a BFS over the target tuples of
+    relation.rewrites.  No n!-sized array is allocated.  More than
+    ``max_size`` members (default DEFAULT_CLASS_CAP) raise
+    ResourceLimitError; a max_size below 1 raises ValueError.
     """
     start = perms.as_perm(p)
     cap = max_size if max_size is not None else DEFAULT_CLASS_CAP
+    if cap < 1:
+        raise ValueError(f"class size cap must be >= 1, got {cap}")
+
+    def admit(size: int) -> None:
+        if size > cap:
+            raise ResourceLimitError(f"class of {perms.format_perm(start)} exceeds cap {cap}")
+
+    n = len(start)
+    if mode == "factor" and _move_table_entries(n, partition) <= _MOVE_TABLE_ENTRIES:
+        return kernels_numpy.class_ranks(perms.rank(start), _factor_moves(partition, n), admit)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -293,13 +336,25 @@ def class_of(
             for _, _, _, target in relation.rewrites(q, partition, mode):
                 if target not in seen:
                     seen.add(target)
-                    if len(seen) > cap:
-                        raise ResourceLimitError(
-                            f"class of {perms.format_perm(start)} exceeds cap {cap}"
-                        )
+                    admit(len(seen))
                     nxt.append(target)
         frontier = nxt
-    return seen
+    return np.array(sorted(perms.rank(q) for q in seen), dtype=np.int64)
+
+
+def format_ranks(ranks: np.ndarray, n: int) -> str:
+    """The permutations of S_n at the given ranks, one a line, each as
+    perms.format_perm writes it: every letter as up to two digit bytes
+    and a separator byte, with the unused bytes (0) dropped."""
+    letters = kernels_numpy.unrank(ranks, n).astype(np.uint8)
+    chars = np.zeros((len(letters), n, 3), dtype=np.uint8)
+    chars[..., 0] = np.where(letters >= 10, ord("0") + letters // 10, 0)
+    chars[..., 1] = ord("0") + letters % 10
+    if n > 9:
+        chars[..., 2] = ord(",")
+    chars[:, -1, 2] = ord("\n")
+    flat = chars.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 def identity_class_size(n: int, partition: ReplacementPartition) -> int:

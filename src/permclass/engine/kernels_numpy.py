@@ -39,6 +39,11 @@ straight from rows of the class ids of the step before, so factor mode
 builds no k!-sized array; subword batches are one join slice or one
 index set.  The ids of S_n are left as the last step's tail nodes and the
 ids of S_{n-1}, for the caller to gather if it needs them.
+
+The same local rules give one class without the others: ``factor_moves``
+turns every window's local pairs into rank deltas, and ``class_ranks``
+runs a BFS over ranks with them, a whole level at a time; ``unrank`` reads
+the letters of many ranks at once.
 """
 
 from __future__ import annotations
@@ -268,6 +273,8 @@ def class_ids(
         if mode == "subword" and k < n:
             parts = [_head_last(k, d, head, last) for d in range(k)]
             head, last = (np.concatenate(col) for col in zip(*parts))
+    if mode == "subword":
+        tail = tail.copy()  # a view would keep the last step's head nodes alive
     return tail, prev, sizes, reps
 
 
@@ -375,6 +382,95 @@ def _through(node: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
     """The node images of a batch of rank edges; the rank edges are freed
     on return, before the closure takes the batch."""
     return node[edges[0]], node[edges[1]]
+
+
+def factor_moves(n: int, tab: PatternTables):
+    """(offset, stride, radix, deltas): every factor rewrite of S_n as a
+    rank delta, for ``class_ranks``.
+
+    Window i of a rank r (m = n - i letters from position i on) has
+    loc ``(r // stride[i]) % radix[i]``, stride (m-c)! and radix
+    m!/(m-c)!, and a rewrite to the partner loc p moves r by
+    ``(p - loc) * stride[i]``.  Row ``offset[i] + loc`` of the int64
+    deltas holds those moves, the window's local pairs in both
+    directions, padded with 0 (no move) to the largest part's size less
+    one.
+    """
+    c = tab.c
+    degree = np.diff(tab.partners_ptr) + np.bincount(tab.partners_idx, minlength=factorial(c))
+    windows = range(max(n - c + 1, 0))
+    stride = np.array([factorial(n - i - c) for i in windows], dtype=np.int64)
+    radix = np.array([factorial(n - i) // factorial(n - i - c) for i in windows], dtype=np.int64)
+    offset = np.cumsum(radix) - radix
+    deltas = np.zeros((int(radix.sum()), int(degree.max(initial=0))), dtype=np.int64)
+    for i in windows:
+        a, b = _local_pairs(n - i, c, range(c), tab)
+        src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+        order = np.argsort(src, kind="stable")
+        src, dst = src[order], dst[order]
+        slot = np.arange(len(src)) - np.searchsorted(src, src)
+        deltas[offset[i] + src, slot] = (dst - src).astype(np.int64) * stride[i]
+    return offset, stride, radix, deltas
+
+
+# Most candidate ranks (frontier ranks x windows x move slots) one
+# expansion of class_ranks gathers at a time.
+_BFS_CANDIDATES = 1 << 22
+
+
+def class_ranks(start: int, moves, admit: Callable[[int], None]) -> np.ndarray:
+    """The sorted int64 ranks of the class of rank ``start`` under the
+    ``factor_moves`` table, by a level-synchronous BFS: each level gathers
+    every window's moves of the whole frontier at once.  The graph is
+    undirected, so a level's new ranks are its neighbours less the level
+    itself and the one before; no set of every rank seen is kept.
+    ``admit`` is called with a lower bound on the class size after each
+    batch of a level and may raise to stop the search."""
+    level = np.array([start], dtype=np.int64)
+    before = level[:0]
+    found, size = [level], 1
+    while len(level):
+        level, before = _next_level(level, before, moves, admit, size), level
+        size += len(level)
+        found.append(level)
+    return np.sort(np.concatenate(found))
+
+
+def _next_level(level, before, moves, admit, size) -> np.ndarray:
+    """The sorted ranks one move from the level that are in neither it nor
+    the level before, a batch of frontier ranks at a time."""
+    offset, stride, radix, deltas = moves
+    batch = max(1, _BFS_CANDIDATES // max(len(offset) * deltas.shape[1], 1))
+    new = level[:0]
+    for lo in range(0, len(level), batch):
+        ranks = level[lo : lo + batch, None]
+        step = deltas[offset + (ranks // stride) % radix]
+        cand = np.unique((ranks[:, :, None] + step)[step != 0])
+        cand = cand[~(_isin_sorted(cand, level) | _isin_sorted(cand, before))]
+        new = np.union1d(new, cand) if lo else cand
+        admit(size + len(new))
+    return new
+
+
+def _isin_sorted(x: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
+    """x[i] in sorted_arr, for each i."""
+    return sorted_arr.searchsorted(x, "right") > sorted_arr.searchsorted(x)
+
+
+def unrank(ranks: np.ndarray, n: int) -> np.ndarray:
+    """(len(ranks), n) int8: the 1-based letters of each rank of S_n, as
+    perms.unrank gives them.  The Lehmer digits come off in n divmod
+    passes from the last (radix 1) to the first (radix n); then, from the
+    right, each digit lifts the later letters at or above it by one."""
+    q = np.asarray(ranks, dtype=np.int64)
+    letters = np.empty((len(q), n), dtype=np.int8)
+    for j in range(n - 1, -1, -1):
+        q, letters[:, j] = np.divmod(q, n - j)
+    for j in range(n - 2, -1, -1):
+        later = letters[:, j + 1 :]
+        later += later >= letters[:, j : j + 1]
+    letters += 1
+    return letters
 
 
 def window_hits(n: int, c: int, mask: np.ndarray) -> np.ndarray:

@@ -557,7 +557,7 @@ def _bushy_canonical(p: Perm) -> Perm:
         return p
     if n <= 4:
         # bushy-tailed = lexicographic minimum of its class
-        return min(engine.class_of(p, _BUSHY_K))
+        return perms.unrank(int(engine.class_of(p, _BUSHY_K)[0]), n)
     cur = p
     while True:
         head = _rearranged(cur[: n - 1], _bushy_canonical(perms.standardize(cur[: n - 1])))

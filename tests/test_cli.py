@@ -260,6 +260,9 @@ def test_verify_byte_identical_across_workers(tmp_path):
     ("table", "--n-max", "-3"),
     ("table", "--figure", "2", "--n-max", "2"),
     ("verify", "--n-max", "2", "--figure2-n-max", "2"),
+    ("classes", "--partition", "{1234,4321}", "--perm", "4321", "--max-class-size", "0"),
+    ("classes", "--partition", "{123,321}", "--perm", "4321", "--max-class-size", "-1",
+     "--mode", "subword"),
 ])
 def test_bad_value_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -368,22 +371,35 @@ def _parts_text(draw):
 
 
 _PARTITION_TEXT = st.one_of(_parts_text(), st.text("{}123456789,x -", max_size=16))
-_PERM_TEXT = st.one_of(
-    st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
-        lambda p: "".join(map(str, p))),
-    st.text("0123456789, ", max_size=8),
-)
+
+
+def _perm_text(top):
+    return st.integers(1, top).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda p: ("," if len(p) > 9 else "").join(map(str, p)))
+
+
+_PERM_TEXT = st.one_of(_perm_text(6), st.text("0123456789, ", max_size=8))
+# (--max-class-size, --perm): no cap for up to 6 letters, else a small cap,
+# 0 and negative values among them, for up to 20
+_QUERY = st.one_of(st.tuples(st.none(), _PERM_TEXT),
+                   st.tuples(st.integers(-2, 64), st.one_of(_perm_text(20), _PERM_TEXT)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(cmd=st.sampled_from(["count", "classes"]), partition=_PARTITION_TEXT,
-       n=st.integers(-1, 6), perm=_PERM_TEXT, mode=st.sampled_from(["factor", "subword"]),
+       n=st.integers(-1, 6), query=_QUERY, mode=st.sampled_from(["factor", "subword"]),
        by_perm=st.booleans())
-def test_cli_fuzz_exits_cleanly(cmd, partition, n, perm, mode, by_perm):
+def test_cli_fuzz_exits_cleanly(cmd, partition, n, query, mode, by_perm):
     # any count or classes request ends with exit 0, 2 or 3, never with a
     # traceback
     argv = [cmd, "--partition", partition, "--mode", mode]
-    argv += ["--perm", perm] if cmd == "classes" and by_perm else ["--n", str(n)]
+    if cmd == "classes" and by_perm:
+        cap, perm = query
+        argv += ["--perm", perm]
+        if cap is not None:
+            argv += ["--max-class-size", str(cap)]
+    else:
+        argv += ["--n", str(n)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():

@@ -317,19 +317,103 @@ def test_orbit_invariance_of_counts():
             assert len(counts) == 1
 
 
+def _members(ranks, n):
+    """The permutations of S_n at the given ranks, as a set of tuples."""
+    return {perms.unrank(int(r), n) for r in ranks}
+
+
 def test_class_of_worked_example(knuth_like):
-    cls = engine.class_of((1, 5, 3, 2, 4), knuth_like)
+    cls = _members(engine.class_of((1, 5, 3, 2, 4), knuth_like), 5)
     assert (1, 2, 4, 5, 3) in cls
     # an avoider is alone in its class
     K = relation.parse_partition("{123,132,231}")
-    assert engine.class_of((4, 3, 2, 1), K) == {(4, 3, 2, 1)}
+    assert _members(engine.class_of((4, 3, 2, 1), K), 4) == {(4, 3, 2, 1)}
 
 
 def test_class_of_matches_decomposition(knuth_like):
     dec = engine.enumerate_classes(5, knuth_like)
     for cid in range(dec.num_classes):
         rep = dec.representative(cid)
-        assert engine.class_of(rep, knuth_like) == set(dec.members(cid))
+        assert _members(engine.class_of(rep, knuth_like), 5) == set(dec.members(cid))
+
+
+@pytest.mark.parametrize("key", ["{132,231}{213,312}", "{123,132}{213,312}",
+                                 "{123,231}{132,321}", "{123,321}{132,231}"])
+def test_class_of_matches_decomposition_n8(key):
+    # every class of the session benchmark's query relations, listed in
+    # lexicographic order as the rank BFS returns it
+    K = relation.parse_partition(key)
+    dec = engine.enumerate_classes(8, K)
+    for cid in range(dec.num_classes):
+        ranks = engine.class_of(dec.representative(cid), K)
+        assert [perms.unrank(int(r), 8) for r in ranks] == dec.members(cid)
+
+
+def test_class_of_factor_mode_reads_no_rewrites(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor-mode class_of called relation.rewrites")
+
+    K = relation.parse_partition("{132,231}{213,312}")
+    p = (3, 1, 4, 2, 6, 5, 8, 7)
+    expected = _neighbors_bfs(p, K, "factor")
+    monkeypatch.setattr(relation, "rewrites", refuse)
+    assert _members(engine.class_of(p, K), 8) == expected
+
+
+def test_class_of_tuple_bfs_past_move_table_budget(monkeypatch):
+    # with no room for a move table, factor mode runs the tuple BFS
+    monkeypatch.setattr(engine, "_MOVE_TABLE_ENTRIES", 0)
+    rng = random.Random(7)
+    for key in ("{123,321}{132,231}", "{1234,4321}"):
+        K = relation.parse_partition(key)
+        for n in (3, 6, 7):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            ranks = engine.class_of(p, K)
+            assert list(ranks) == sorted(ranks)
+            assert _members(ranks, n) == _neighbors_bfs(p, K, "factor")
+
+
+def test_class_of_shorter_than_patterns():
+    for key in ("{123,321}", "{1234,4321}{1243,3421}"):
+        K = relation.parse_partition(key)
+        for n in range(K.c):
+            for p in perms.all_perms(n):
+                assert engine.class_of(p, K).tolist() == [perms.rank(p)]
+
+
+def test_class_of_exact_at_top_of_s20():
+    # every member starts with 20, so its rank lies above 2^61 (20! < 2^62)
+    K = relation.parse_partition("{123,132}{213,231}")
+    p = (*range(20, 6, -1), 1, 2, 3, 4, 5, 6)
+    ranks = engine.class_of(p, K)
+    assert len(ranks) == 120 and int(ranks[0]) > 2**61
+    assert ranks.dtype == np.int64
+    assert _members(ranks, 20) == _neighbors_bfs(p, K, "factor")
+    assert [perms.rank(q) for q in sorted(_members(ranks, 20))] == ranks.tolist()
+
+
+def test_class_of_rejects_non_positive_cap(knuth_like):
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            engine.class_of((1, 2, 3), knuth_like, max_size=cap)
+
+
+def test_unrank_matches_perms_unrank():
+    for n in range(1, 8):
+        letters = kn.unrank(np.arange(factorial(n)), n)
+        assert [tuple(row) for row in letters.tolist()] == list(perms.all_perms(n))
+    rng = random.Random(20)
+    ranks = [rng.randrange(factorial(20)) for _ in range(500)] + [0, factorial(20) - 1]
+    letters = kn.unrank(np.array(ranks, dtype=np.int64), 20)
+    assert [tuple(row) for row in letters.tolist()] == [perms.unrank(r, 20) for r in ranks]
+
+
+def test_format_ranks_matches_format_perm():
+    rng = random.Random(21)
+    for n in (1, 5, 9, 10, 12, 20):
+        ranks = sorted(rng.randrange(factorial(n)) for _ in range(50))
+        text = engine.format_ranks(np.array(ranks, dtype=np.int64), n)
+        assert text == "".join(perms.format_perm(perms.unrank(r, n)) + "\n" for r in ranks)
 
 
 def test_identity_class_sizes():
@@ -426,7 +510,20 @@ def test_class_of_matches_neighbors_bfs(mode):
             for _ in range(3):
                 p = tuple(rng.sample(range(1, n + 1), n))
                 truth = _neighbors_bfs(p, K, mode)
-                assert engine.class_of(p, K, mode) == truth, (key, mode, p)
+                assert _members(engine.class_of(p, K, mode), n) == truth, (key, mode, p)
+
+
+_C4_KEYS = ("{1234,4321}", "{1234,1243}{2134,2143}", "{1324,1423,2314,2413}")
+
+
+@pytest.mark.parametrize("key", [*oracle.relation_keys(), *_C4_KEYS])
+def test_factor_class_of_matches_neighbors_bfs_all_relations(key):
+    rng = random.Random(key)
+    K = relation.parse_partition(key)
+    for n in range(1, 8):
+        for _ in range(3):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            assert _members(engine.class_of(p, K), n) == _neighbors_bfs(p, K, "factor"), p
 
 
 @pytest.mark.parametrize("mode", ["factor", "subword"])
@@ -437,6 +534,14 @@ def test_class_of_cap_boundary(knuth_like, mode):
     assert len(engine.class_of(p, knuth_like, mode, max_size=size)) == size
     with pytest.raises(ResourceLimitError, match="exceeds cap"):
         engine.class_of(p, knuth_like, mode, max_size=size - 1)
+
+
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_decomposition_holds_only_its_tail(knuth_like, mode):
+    # the tail is not a view into the last step's larger node array
+    dec = engine.enumerate_classes(7, knuth_like, mode=mode)
+    held = dec.tail if dec.tail.base is None else dec.tail.base
+    assert held.nbytes == dec.tail.nbytes
 
 
 def test_json_dict_schema(knuth_like):

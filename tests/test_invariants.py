@@ -167,21 +167,25 @@ def test_special_families_printed():
         inv.d_perm(7)
 
 
+def _class(p, K):
+    return {perms.unrank(int(r), len(p)) for r in engine.class_of(p, K)}
+
+
 def test_t_family_is_a_class():
     K = relation.parse_partition("{132,312}{213,321}")
-    cls = engine.class_of((2, 1, 3, 4, 5), K)
+    cls = _class((2, 1, 3, 4, 5), K)
     assert cls == inv.t_family(5)
 
 
 def test_e_family_is_a_class():
     K = relation.parse_partition("{123,132}{231,312}")
-    cls = engine.class_of((3, 4, 2, 1), K)
+    cls = _class((3, 4, 2, 1), K)
     assert cls == inv.e_family(4)
 
 
 def test_s_d_f_classes():
     K = relation.parse_partition("{123,231}{213,321}")
-    assert engine.class_of(inv.s_perm(5), K) == {
+    assert _class(inv.s_perm(5), K) == {
         (2, 5, 3, 4, 1), (2, 5, 1, 3, 4), (1, 2, 5, 3, 4)
     }
     for n in (6, 8):
