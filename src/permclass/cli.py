@@ -174,40 +174,35 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _verify_rows(args):
+    """(key, partition, n, expected) for each row verify checks: the
+    registered relations' formulas, then the Figure 2 reference."""
     keys = oracle.relation_keys() if args.relations == "all" else tuple(
         k for k in args.relations.split(";") if k
     )
-    lines = []
-    results = []
-    ok = True
     for key in keys:
         K = relation.parse_partition(key)
         floor = oracle.validity_floor(key)
         for n in range(max(3, floor), args.n_max + 1):
-            expected = oracle.expected_count(key, n)
-            got = engine.enumerate_classes(n, K, workers=args.workers).num_classes
-            good = expected == got
-            ok &= good
-            results.append(
-                {"relation": key, "n": n, "expected": expected, "engine": got, "ok": good}
-            )
-            lines.append(
-                f"{'OK      ' if good else 'MISMATCH'} {key:24s} n={n} "
-                f"expected={expected} engine={got}"
-            )
+            yield key, K, n, oracle.expected_count(key, n)
     K2 = relation.parse_partition(oracle.FIGURE2_KEY)
     for n in range(3, args.figure2_n_max + 1):
-        expected = oracle.figure2_reference(n)
-        got = engine.enumerate_classes(n, K2, workers=args.workers).num_classes
+        yield oracle.FIGURE2_KEY, K2, n, oracle.figure2_reference(n)
+
+
+def _cmd_verify(args) -> int:
+    lines = []
+    results = []
+    ok = True
+    for key, K, n, expected in _verify_rows(args):
+        got = engine.enumerate_classes(n, K, workers=args.workers).num_classes
         good = expected == got
         ok &= good
         results.append(
-            {"relation": oracle.FIGURE2_KEY, "n": n, "expected": expected,
-             "engine": got, "ok": good}
+            {"relation": key, "n": n, "expected": expected, "engine": got, "ok": good}
         )
         lines.append(
-            f"{'OK      ' if good else 'MISMATCH'} {oracle.FIGURE2_KEY:24s} n={n} "
+            f"{'OK      ' if good else 'MISMATCH'} {key:24s} n={n} "
             f"expected={expected} engine={got}"
         )
     if not results:

@@ -100,9 +100,6 @@ class ClassDecomposition:
     def representative(self, cid: int) -> Perm:
         return perms.unrank(int(self.rep_ranks[cid]), self.n)
 
-    def representatives(self) -> list[Perm]:
-        return [perms.unrank(int(r), self.n) for r in self.rep_ranks]
-
     def class_of_perm(self, p: Sequence[int]) -> int:
         first, t = divmod(perms.rank(p), len(self.prev))
         return int(self.tail[first * (len(self.tail) // self.n) + self.prev[t]])
@@ -122,16 +119,12 @@ class ClassDecomposition:
             "num_classes": self.num_classes,
             "num_trivial": self.num_trivial,
             "class_sizes": list(self.sizes_multiset()),
-            "representatives": [
-                perms.format_perm(p) for p in self.representatives()
-            ],
+            "representatives": format_ranks(self.rep_ranks, self.n).splitlines(),
         }
 
     def to_csv_rows(self) -> list[tuple[int, int, str]]:
-        return [
-            (cid, int(self.class_sizes[cid]), perms.format_perm(self.representative(cid)))
-            for cid in range(self.num_classes)
-        ]
+        reps = format_ranks(self.rep_ranks, self.n).splitlines()
+        return list(zip(range(self.num_classes), self.class_sizes.tolist(), reps))
 
 
 def _memory_cap_bytes() -> int | None:

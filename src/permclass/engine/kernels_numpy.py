@@ -188,29 +188,11 @@ def _pair_weights(ranks: np.ndarray, cols: list, others: list, weight: list) -> 
     return table
 
 
-def _grid_edges(n: int, tab: PatternTables, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Undirected edges of the rewrites at the index set idx as (src, dst)
-    rank arrays, ``pre * m! + loc * (m-span)! + suf`` over the local edges
-    (a, b) of ``_local_pairs``; an index set from the first to the last
-    position has no pre or suf, so its local edges are its rank edges."""
-    i, m, span = idx[0], n - idx[0], idx[-1] - idx[0] + 1
-    local = _local_pairs(m, span, [j - i for j in idx], tab)
-    if span == n:
-        return local
-    dtype = np.int32 if factorial(n) <= np.iinfo(np.int32).max else np.int64
-    stride = factorial(m - span)
-    pre = np.arange(factorial(n) // factorial(m), dtype=dtype) * factorial(m)
-    suf = np.arange(stride, dtype=dtype)
-    return tuple(
-        (pre[:, None, None] + (loc.astype(dtype, copy=False) * stride)[:, None] + suf).ravel()
-        for loc in local
-    )
-
-
 def subword_edges(n: int, tab: PatternTables, idx):
-    """Undirected subword-transformation edges at the index set idx, as
-    (src, dst) rank arrays from the digit grid."""
-    return _grid_edges(n, tab, idx)
+    """Undirected subword-transformation edges at an index set idx from
+    the first to the last position of S_n, as (src, dst) rank arrays: its
+    span is all n letters, so its local pairs are its rank edges."""
+    return _local_pairs(n, n, idx, tab)
 
 
 # Most window-0 edges a factor step closes in one batch.  A step within it

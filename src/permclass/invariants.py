@@ -545,11 +545,6 @@ def is_bushy_tailed(p: Sequence[int]) -> bool:
     return True
 
 
-def _rearranged(letters: Sequence[int], target: Perm) -> tuple[int, ...]:
-    s = sorted(letters)
-    return tuple(s[t - 1] for t in target)
-
-
 @lru_cache(maxsize=None)
 def _bushy_canonical(p: Perm) -> Perm:
     n = len(p)
@@ -560,9 +555,9 @@ def _bushy_canonical(p: Perm) -> Perm:
         return perms.unrank(int(engine.class_of(p, _BUSHY_K)[0]), n)
     cur = p
     while True:
-        head = _rearranged(cur[: n - 1], _bushy_canonical(perms.standardize(cur[: n - 1])))
+        head = perms.rearrange(cur[: n - 1], _bushy_canonical(perms.standardize(cur[: n - 1])))
         cur2 = head + cur[n - 1 :]
-        tail = _rearranged(cur2[1:], _bushy_canonical(perms.standardize(cur2[1:])))
+        tail = perms.rearrange(cur2[1:], _bushy_canonical(perms.standardize(cur2[1:])))
         nxt = cur2[:1] + tail
         if nxt == cur:
             return cur
@@ -620,15 +615,6 @@ def v_canonical(p: Sequence[int], partition: relation.ReplacementPartition) -> P
     if not is_v_permutation(out):
         raise PermclassError(f"down jumps from {p} ended on a non-V permutation {out}")
     return out
-
-
-def v_from_odd_tailed(p: Sequence[int]) -> Perm:
-    """The V-permutation sharing p's odd-tailed set: the {123,132,231}
-    class representative, built directly from the invariant."""
-    n = len(p)
-    left = sorted(odd_tailed_set(p), reverse=True)
-    right = sorted(set(range(2, n + 1)) - set(left))
-    return tuple(left) + (1,) + tuple(right)
 
 
 def canonical_form(p: Sequence[int], relation_key: str) -> Perm:

@@ -197,53 +197,43 @@ def _sided_hits(n: int, partition: ReplacementPartition):
     )
 
 
+def _first_members(dec: engine.ClassDecomposition, mask: np.ndarray) -> dict[int, Perm]:
+    """Class id -> the smallest member in mask, for each class that has one:
+    rank order is lexicographic order, so that is its first masked rank."""
+    ranks = np.nonzero(mask)[0]
+    cids, first = np.unique(dec.class_id[ranks], return_index=True)
+    return {int(c): perms.unrank(int(r), dec.n) for c, r in zip(cids, ranks[first])}
+
+
 def stooge_sets(n: int, partition: ReplacementPartition) -> StoogeSets:
     """L_n / R_n / I_n: the smallest lefted/righted/middled member of each
-    class that has one.
+    class that has one, in lexicographic order.
 
     The lefted/righted/middled masks come from one hit mask over S_n
-    (engine.hit_mask); since rank order is lexicographic order, the first
-    masked rank of each class is its smallest such member.
+    (engine.hit_mask).
     """
     if n < partition.c + 1:
         raise ValueError(f"stooge sets need n >= c+1 = {partition.c + 1}")
     dec = engine.enumerate_classes(n, partition)
-
-    def firsts(mask: np.ndarray) -> tuple[Perm, ...]:
-        ranks = np.nonzero(mask)[0]
-        first = np.unique(dec.class_id[ranks], return_index=True)[1]
-        return tuple(perms.unrank(int(r), n) for r in np.sort(ranks[first]))
-
-    lefted, righted, middled = _sided_hits(n, partition)
-    return StoogeSets(
-        n=n,
-        partition_text=partition.text(),
-        L=firsts(lefted),
-        R=firsts(righted),
-        I=firsts(middled),
+    L, R, I = (
+        tuple(sorted(_first_members(dec, mask).values()))
+        for mask in _sided_hits(n, partition)
     )
+    return StoogeSets(n=n, partition_text=partition.text(), L=L, R=R, I=I)
 
 
 class _SideNormalizer:
     """Rearranges an (n-1)-letter flank to its class's L/R representative."""
 
     def __init__(self, n: int, partition: ReplacementPartition):
-        self.partition = partition
-        sets = stooge_sets(n - 1, partition)
-        dec = engine.enumerate_classes(n - 1, partition)
-        self.left_of: dict[int, Perm] = {
-            dec.class_of_perm(p): p for p in sets.L
-        }
-        self.right_of: dict[int, Perm] = {
-            dec.class_of_perm(p): p for p in sets.R
-        }
-        self.dec = dec
+        self.dec = engine.enumerate_classes(n - 1, partition)
+        lefted, righted, _ = _sided_hits(n - 1, partition)
+        self.left_of = _first_members(self.dec, lefted)
+        self.right_of = _first_members(self.dec, righted)
 
     def _target(self, word: Sequence[int], table: dict[int, Perm]) -> tuple[int, ...]:
-        std = perms.standardize(word)
-        target = table[self.dec.class_of_perm(std)]
-        letters = sorted(word)
-        return tuple(letters[t - 1] for t in target)
+        cid = self.dec.class_of_perm(perms.standardize(word))
+        return perms.rearrange(word, table[cid])
 
     def l(self, w: Perm) -> Perm:
         return self._target(w[:-1], self.left_of) + w[-1:]

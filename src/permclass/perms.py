@@ -84,6 +84,17 @@ def standardize(word: Sequence[int]) -> Perm:
     return tuple(out)
 
 
+def rearrange(letters: Sequence[int], pattern: Sequence[int]) -> Word:
+    """The letters rearranged so they standardize to pattern: position j
+    takes the pattern[j]-th smallest letter.
+
+    >>> rearrange((5, 7, 4), (3, 1, 2))
+    (7, 4, 5)
+    """
+    s = sorted(letters)
+    return tuple(s[t - 1] for t in pattern)
+
+
 def complement(p: Sequence[int]) -> Perm:
     """Letter-wise map j -> n+1-j."""
     n = len(p)

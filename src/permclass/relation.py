@@ -9,7 +9,9 @@ A *hit* in a permutation is a length-c factor whose standardization lies
 in a nontrivial part; a one-step transformation rearranges a hit's
 letters so the factor standardizes to another member of the same part.
 Subword mode does the same over non-adjacent index tuples, permuting the
-values at the chosen indices in place.
+values at the chosen indices in place.  Every reading of hits below
+(hits, avoiders, down jumps, rewrites) comes from one scan that looks a
+site's argsort up among the partition's patterns, with no standardizing.
 
 Within each nontrivial part the lexicographic minimum is the part's D
 pattern; the remaining members form U.  Rewriting a U-hit into its
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -48,18 +50,6 @@ class ReplacementPartition:
 
     c: int
     nontrivial_parts: tuple[tuple[Perm, ...], ...]
-    _part_of: dict[Perm, int] = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
-
-    def __post_init__(self):
-        for i, part in enumerate(self.nontrivial_parts):
-            for pat in part:
-                self._part_of[pat] = i
-
-    def part_index(self, pattern: Perm) -> int | None:
-        """Index into nontrivial_parts, or None for singleton patterns."""
-        return self._part_of.get(pattern)
 
     @property
     def parts(self) -> tuple[tuple[Perm, ...], ...]:
@@ -193,48 +183,6 @@ class Transformation:
         return self.indices[0]
 
 
-def hits(p: Sequence[int], partition: ReplacementPartition) -> list[tuple[int, Perm]]:
-    """All (1-based position, pattern) with the factor there in a nontrivial part."""
-    c = partition.c
-    out = []
-    for i in range(len(p) - c + 1):
-        pat = perms.standardize(p[i : i + c])
-        if partition.part_index(pat) is not None:
-            out.append((i + 1, pat))
-    return out
-
-
-def subword_hits(
-    p: Sequence[int], partition: ReplacementPartition
-) -> list[tuple[tuple[int, ...], Perm]]:
-    """Subword-mode hits: (1-based index tuple, pattern) pairs."""
-    c = partition.c
-    out = []
-    for idx in itertools.combinations(range(len(p)), c):
-        pat = perms.standardize(tuple(p[i] for i in idx))
-        if partition.part_index(pat) is not None:
-            out.append((tuple(i + 1 for i in idx), pat))
-    return out
-
-
-def is_avoider(p: Sequence[int], partition: ReplacementPartition) -> bool:
-    """True iff p contains no hit."""
-    c = partition.c
-    for i in range(len(p) - c + 1):
-        if partition.part_index(perms.standardize(p[i : i + c])) is not None:
-            return False
-    return True
-
-
-def _rewrite(p: Sequence[int], idx: Sequence[int], target: Perm) -> Perm:
-    """Rearrange the letters at idx (0-based) so they standardize to target."""
-    letters = sorted(p[i] for i in idx)
-    out = list(p)
-    for i, t in zip(idx, target):
-        out[i] = letters[t - 1]
-    return tuple(out)
-
-
 @lru_cache(maxsize=64)
 def _mate_orders(
     partition: ReplacementPartition,
@@ -243,8 +191,9 @@ def _mate_orders(
 
     The argsort of a window (its 0-based positions in increasing letter
     order) is the inverse of its pattern, so it identifies the pattern
-    without standardizing.  Each entry is (pattern, ((mate, order), ...)):
-    the window rewritten to ``mate`` is ``tuple(window[o] for o in order)``.
+    without standardizing.  Each entry is (pattern, ((mate, order), ...)),
+    the mates in part order: the window rewritten to ``mate`` is
+    ``tuple(window[o] for o in order)``.
     """
     out = {}
     for part in partition.nontrivial_parts:
@@ -259,6 +208,56 @@ def _mate_orders(
     return out
 
 
+def _sites(
+    p: Perm, partition: ReplacementPartition, mode: Mode
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Perm, tuple]]:
+    """Yield (0-based indices, letters, pattern, mates) for every hit of the
+    tuple p, in site order (windows left to right, or index combinations in
+    lexicographic order); mates are the pattern's ((mate, order), ...) of
+    ``_mate_orders``."""
+    c = partition.c
+    if mode == "factor":
+        sites = ((range(i, i + c), p[i : i + c]) for i in range(len(p) - c + 1))
+    elif mode == "subword":
+        sites = ((idx, tuple([p[i] for i in idx]))
+                 for idx in itertools.combinations(range(len(p)), c))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    recipes = _mate_orders(partition)
+    window = range(c)
+    for idx, w in sites:
+        entry = recipes.get(tuple(sorted(window, key=w.__getitem__)))
+        if entry is not None:
+            yield tuple(idx), w, entry[0], entry[1]
+
+
+def _placed(p: Perm, idx: tuple[int, ...], w: tuple[int, ...], order) -> Perm:
+    """p with the letters w at idx rewritten by a ``_mate_orders`` order."""
+    out = list(p)
+    for i, o in zip(idx, order):
+        out[i] = w[o]
+    return tuple(out)
+
+
+def hits(p: Sequence[int], partition: ReplacementPartition) -> list[tuple[int, Perm]]:
+    """All (1-based position, pattern) with the factor there in a nontrivial part."""
+    sites = _sites(perms.as_word(p), partition, "factor")
+    return [(idx[0] + 1, pat) for idx, _, pat, _ in sites]
+
+
+def subword_hits(
+    p: Sequence[int], partition: ReplacementPartition
+) -> list[tuple[tuple[int, ...], Perm]]:
+    """Subword-mode hits: (1-based index tuple, pattern) pairs."""
+    sites = _sites(perms.as_word(p), partition, "subword")
+    return [(tuple(i + 1 for i in idx), pat) for idx, _, pat, _ in sites]
+
+
+def is_avoider(p: Sequence[int], partition: ReplacementPartition) -> bool:
+    """True iff p contains no hit."""
+    return next(_sites(perms.as_word(p), partition, "factor"), None) is None
+
+
 def rewrites(
     p: Perm,
     partition: ReplacementPartition,
@@ -266,35 +265,9 @@ def rewrites(
 ) -> Iterator[tuple[tuple[int, ...], Perm, Perm, Perm]]:
     """Yield (0-based indices, from_pattern, to_pattern, target) for every
     one-step rewrite of the tuple p, without validating p or its targets."""
-    c = partition.c
-    n = len(p)
-    mates = _mate_orders(partition)
-    window = range(c)
-    if mode == "factor":
-        for i in range(n - c + 1):
-            w = p[i : i + c]
-            entry = mates.get(tuple(sorted(window, key=w.__getitem__)))
-            if entry is None:
-                continue
-            pat, orders = entry
-            idx = tuple(range(i, i + c))
-            head, tail = p[:i], p[i + c :]
-            for q, order in orders:
-                yield idx, pat, q, head + tuple([w[o] for o in order]) + tail
-    elif mode == "subword":
-        for idx in itertools.combinations(range(n), c):
-            w = [p[i] for i in idx]
-            entry = mates.get(tuple(sorted(window, key=w.__getitem__)))
-            if entry is None:
-                continue
-            pat, orders = entry
-            for q, order in orders:
-                out = list(p)
-                for i, o in zip(idx, order):
-                    out[i] = w[o]
-                yield idx, pat, q, tuple(out)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    for idx, w, pat, mates in _sites(p, partition, mode):
+        for q, order in mates:
+            yield idx, pat, q, _placed(p, idx, w, order)
 
 
 def neighbors(
@@ -322,28 +295,25 @@ def neighbors(
 
 
 def down_jumps(p: Sequence[int], partition: ReplacementPartition) -> list[Perm]:
-    """Targets of rewriting some U-hit into its part's D pattern."""
-    p = tuple(p)
-    c = partition.c
-    out = []
-    for i in range(len(p) - c + 1):
-        pat = perms.standardize(p[i : i + c])
-        k = partition.part_index(pat)
-        if k is None:
-            continue
-        d = partition.nontrivial_parts[k][0]
-        if pat != d:
-            out.append(_rewrite(p, range(i, i + c), d))
-    return out
+    """Targets of rewriting some U-hit into its part's D pattern.
+
+    A part is sorted, so a hit's first mate is the part's D pattern unless
+    the hit is that pattern, whose mates all lie above it: a hit is a U-hit
+    iff its first mate lies below its pattern.
+    """
+    p = perms.as_word(p)
+    return [
+        _placed(p, idx, w, mates[0][1])
+        for idx, w, pat, mates in _sites(p, partition, "factor")
+        if mates[0][0] < pat
+    ]
 
 
 def is_u_avoider(p: Sequence[int], partition: ReplacementPartition) -> bool:
-    """True iff no factor of p standardizes to a U pattern."""
-    c = partition.c
-    u = set(partition.U)
-    return not any(
-        perms.standardize(p[i : i + c]) in u for i in range(len(p) - c + 1)
-    )
+    """True iff no factor of p standardizes to a U pattern (a hit whose
+    first mate lies below it, as in :func:`down_jumps`)."""
+    sites = _sites(perms.as_word(p), partition, "factor")
+    return not any(mates[0][0] < pat for _, _, pat, mates in sites)
 
 
 def is_lefted(p: Sequence[int], partition: ReplacementPartition) -> bool:

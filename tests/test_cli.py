@@ -385,21 +385,47 @@ _QUERY = st.one_of(st.tuples(st.none(), _PERM_TEXT),
                    st.tuples(st.integers(-2, 64), st.one_of(_perm_text(20), _PERM_TEXT)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(cmd=st.sampled_from(["count", "classes"]), partition=_PARTITION_TEXT,
-       n=st.integers(-1, 6), query=_QUERY, mode=st.sampled_from(["factor", "subword"]),
-       by_perm=st.booleans())
-def test_cli_fuzz_exits_cleanly(cmd, partition, n, query, mode, by_perm):
-    # any count or classes request ends with exit 0, 2 or 3, never with a
-    # traceback
-    argv = [cmd, "--partition", partition, "--mode", mode]
-    if cmd == "classes" and by_perm:
-        cap, perm = query
+@st.composite
+def _fuzz_argv(draw):
+    """count and classes over partition and permutation text; invariant
+    (plain, with --partition, or --name canonical), stooge --normalize and
+    theorem down-jump over permutations of up to 6 letters, and over the
+    registered relations as well, so that more of them get past parsing."""
+    cmd = draw(st.sampled_from(["count", "classes", "invariant", "stooge", "theorem"]))
+    if cmd in ("count", "classes"):
+        partition = draw(_PARTITION_TEXT)
+    else:
+        partition = draw(st.one_of(_PARTITION_TEXT, st.sampled_from(oracle.relation_keys())))
+    if cmd == "invariant":
+        argv = ["invariant", "--perm", draw(_PERM_TEXT)]
+        kind = draw(st.sampled_from(["plain", "partition", "canonical"]))
+        if kind == "partition":
+            argv += ["--partition", partition]
+        elif kind == "canonical":
+            key = draw(st.sampled_from(["bushy", "root", "v_perm", "compact"]))
+            argv += ["--name", "canonical", "--relation-key", key]
+        return argv
+    if cmd == "stooge":
+        return ["stooge", "--partition", partition, "--normalize", draw(_PERM_TEXT)]
+    if cmd == "theorem":
+        strategy = draw(st.sampled_from(["leftmost", "rightmost"]))
+        return ["theorem", "down-jump", "--partition", partition, "--perm", draw(_PERM_TEXT),
+                "--strategy", strategy]
+    argv = [cmd, "--partition", partition, "--mode", draw(st.sampled_from(["factor", "subword"]))]
+    if cmd == "classes" and draw(st.booleans()):
+        cap, perm = draw(_QUERY)
         argv += ["--perm", perm]
         if cap is not None:
             argv += ["--max-class-size", str(cap)]
     else:
-        argv += ["--n", str(n)]
+        argv += ["--n", str(draw(st.integers(-1, 6)))]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_fuzz_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    # any such request ends with exit 0, 2 or 3, never with a traceback
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():

@@ -148,7 +148,7 @@ def test_i_vs_l_relation_at_c_plus_2():
         for m in sets.I:
             w = lmap[dec.class_of_perm(m)]
             variants = {m} | {
-                m[: n - K.c] + relation._rewrite(m[n - K.c :], range(K.c), d)
+                m[: n - K.c] + perms.rearrange(m[n - K.c :], d)
                 for d in K.D
             }
             assert w in variants

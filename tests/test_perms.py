@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import doctest
 import itertools
 from math import factorial
 
@@ -117,3 +118,18 @@ def test_parse_perm_bad_comma_token(text):
 @given(perm_strategy)
 def test_parse_format_roundtrip(p):
     assert perms.parse_perm(perms.format_perm(p)) == p
+
+
+def test_rearrange():
+    assert perms.rearrange((5, 7, 4), (3, 1, 2)) == (7, 4, 5)
+    assert perms.rearrange([2, 9], (1, 2)) == (2, 9)
+    word = (40, 3, 12, 25)
+    for p in perms.all_perms(4):
+        out = perms.rearrange(word, p)
+        assert perms.standardize(out) == p and sorted(out) == sorted(word)
+        assert perms.rearrange(perms.identity(4), p) == p
+
+
+def test_docstring_examples():
+    result = doctest.testmod(perms)
+    assert result.failed == 0 and result.attempted >= 6

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from permclass import perms, relation
-from permclass.errors import PartitionParseError
+from permclass import oracle, perms, relation
+from permclass.errors import InvalidWordError, PartitionParseError
 
 
 def test_parse_knuth_like_text():
@@ -192,3 +194,112 @@ def test_lift_partition_same_equivalence_at_n5_n6():
         a = engine.enumerate_classes(n, K)
         b = engine.enumerate_classes(n, lifted)
         assert np.array_equal(a.class_id, b.class_id)
+
+
+# Standardize-based references for the hit scan: every site's pattern by
+# perms.standardize, looked up in a pattern -> part dict, and a rewrite that
+# places the sorted letters by the target pattern.
+
+_SCAN_KEYS = (*oracle.relation_keys(), oracle.FIGURE2_KEY, "{12,21}",
+              "{1234,1243}{2134,2143}", "{1234,4321}")
+
+
+def _ref_rewrite(p, idx, target):
+    letters = sorted(p[i] for i in idx)
+    out = list(p)
+    for i, t in zip(idx, target):
+        out[i] = letters[t - 1]
+    return tuple(out)
+
+
+def _ref_patterns(p, c, mode):
+    """(0-based indices, pattern) of every site of p."""
+    if mode == "factor":
+        sites = [tuple(range(i, i + c)) for i in range(len(p) - c + 1)]
+    else:
+        sites = itertools.combinations(range(len(p)), c)
+    return [(idx, perms.standardize([p[i] for i in idx])) for idx in sites]
+
+
+def _ref_scan(p, K, mode, patterns=None):
+    """Every reading of the hit scan, from the references (patterns: those
+    of _ref_patterns, if already known)."""
+    part_of = {pat: part for part in K.nontrivial_parts for pat in part}
+    if patterns is None:
+        patterns = _ref_patterns(p, K.c, mode)
+    hit = [(idx, pat, part_of[pat]) for idx, pat in patterns if pat in part_of]
+    n, c = len(p), K.c
+    out = {
+        "rewrites": [(idx, pat, q, _ref_rewrite(p, idx, q))
+                     for idx, pat, part in hit for q in part if q != pat],
+    }
+    if mode == "subword":
+        out["subword_hits"] = [(tuple(i + 1 for i in idx), pat) for idx, pat, _ in hit]
+        return out
+    positions = [idx[0] + 1 for idx, _, _ in hit]
+    out.update(
+        hits=[(idx[0] + 1, pat) for idx, pat, _ in hit],
+        is_avoider=not hit,
+        down_jumps=[_ref_rewrite(p, idx, part[0]) for idx, pat, part in hit if pat != part[0]],
+        is_u_avoider=not any(pat in set(K.U) for _, pat, _ in hit),
+        is_lefted=any(pos >= 2 for pos in positions),
+        is_righted=any(pos + c - 1 <= n - 1 for pos in positions),
+        is_middled=any(2 <= pos and pos + c - 1 <= n - 1 for pos in positions),
+    )
+    return out
+
+
+_FACTOR_READINGS = ("hits", "is_avoider", "down_jumps", "is_u_avoider")
+_SIDED = ("is_lefted", "is_righted", "is_middled")
+
+
+def _scan(p, K, mode, names):
+    """The same readings from relation (the named ones in factor mode)."""
+    out = {"rewrites": list(relation.rewrites(p, K, mode))}
+    if mode == "subword":
+        out["subword_hits"] = relation.subword_hits(p, K)
+    for name in names:
+        out[name] = getattr(relation, name)(p, K)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_hit_scan_matches_standardize_references(mode):
+    # the same values in the same order over S_n, n <= 7 (subword n <= 6),
+    # for every registered relation, Figure 2, c = 2 and two c = 4
+    # relations; the sided predicates, which read hits, up to n = 6
+    partitions = [relation.parse_partition(key) for key in _SCAN_KEYS]
+    partitions.append(relation.singleton_partition(3))
+    for n in range(1, 8 if mode == "factor" else 7):
+        names = () if mode == "subword" else _FACTOR_READINGS + (_SIDED if n <= 6 else ())
+        for p in perms.all_perms(n):
+            patterns = {c: _ref_patterns(p, c, mode) for c in (2, 3, 4)}
+            for K in partitions:
+                want = _ref_scan(p, K, mode, patterns[K.c])
+                got = _scan(p, K, mode, names)
+                assert got == {k: want[k] for k in got}, (K.text(), p)
+
+
+def test_hit_scan_on_words():
+    # letters need not be 1..n, and a list reads as its tuple
+    K = relation.parse_partition("{123,321}{132,231}")
+    w = [9, 40, 12, 3, 25]
+    assert relation.hits(w, K) == [(1, (1, 3, 2)), (2, (3, 2, 1))]
+    assert relation.down_jumps(w, K) == [(9, 3, 12, 40, 25)]
+    assert not relation.is_u_avoider(w, K) and not relation.is_avoider(w, K)
+    assert relation.subword_hits(w, K) == _ref_scan(tuple(w), K, "subword")["subword_hits"]
+
+
+@pytest.mark.parametrize("word", [(1, 2, 3, 1), (3, 1, 4, 1, 5), (0, 1, 2), (2, -1, 3)])
+def test_hit_scan_rejects_bad_words(word):
+    K = relation.parse_partition("{123,321}{132,231}")
+    for name in ("hits", "subword_hits", "is_avoider", "is_u_avoider", "down_jumps",
+                 "is_lefted", "is_righted", "is_middled", "neighbors"):
+        with pytest.raises(InvalidWordError):
+            getattr(relation, name)(word, K)
+
+
+def test_rewrites_unknown_mode():
+    K = relation.parse_partition("{123,321}")
+    with pytest.raises(ValueError, match="unknown mode"):
+        list(relation.rewrites((1, 2, 3), K, "window"))
