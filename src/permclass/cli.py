@@ -175,27 +175,36 @@ def _cmd_table(args) -> int:
 
 
 def _verify_rows(args):
-    """(key, partition, n, expected) for each row verify checks: the
-    registered relations' formulas, then the Figure 2 reference."""
+    """(key, n, expected, got) for each row verify checks: the registered
+    relations' formulas, then the Figure 2 reference."""
     keys = oracle.relation_keys() if args.relations == "all" else tuple(
         k for k in args.relations.split(";") if k
     )
     for key in keys:
         K = relation.parse_partition(key)
-        floor = oracle.validity_floor(key)
-        for n in range(max(3, floor), args.n_max + 1):
-            yield key, K, n, oracle.expected_count(key, n)
+        ns = range(max(3, oracle.validity_floor(key)), args.n_max + 1)
+        yield from _verify_pass(key, K, ns, functools.partial(oracle.expected_count, key),
+                                args.allow_large)
     K2 = relation.parse_partition(oracle.FIGURE2_KEY)
-    for n in range(3, args.figure2_n_max + 1):
-        yield oracle.FIGURE2_KEY, K2, n, oracle.figure2_reference(n)
+    ns = range(3, args.figure2_n_max + 1)
+    yield from _verify_pass(oracle.FIGURE2_KEY, K2, ns, oracle.figure2_reference,
+                            args.allow_large)
+
+
+def _verify_pass(key, K, ns, expected, allow_large):
+    """The rows of one relation from one pass of the closure up to its
+    last n; each row's expected count is read before its n is closed."""
+    decs = engine.decompositions(ns, K, allow_large=allow_large)
+    for n in ns:
+        want = expected(n)
+        yield key, n, want, next(decs).num_classes
 
 
 def _cmd_verify(args) -> int:
     lines = []
     results = []
     ok = True
-    for key, K, n, expected in _verify_rows(args):
-        got = engine.enumerate_classes(n, K, workers=args.workers).num_classes
+    for key, n, expected, got in _verify_rows(args):
         good = expected == got
         ok &= good
         results.append(
@@ -319,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--figure2-n-max", type=int, default=8)
     p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
+    p.add_argument("--allow-large", action="store_true",
+                   help="raise the n bound after a memory check")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_verify)

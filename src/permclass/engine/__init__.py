@@ -6,9 +6,12 @@ rank.  It is stored as the last step's tail nodes and the class ids of
 S_{n-1}: rank ``d * (n-1)! + t`` has class ``tail[d * C + prev[t]]``, so
 counts, sizes, representatives and ``class_of_perm`` never build the n!
 id array, which ``ClassDecomposition.class_id`` builds on first use.
-Both modes run one closure (kernels_numpy.class_ids): it closes
+Both modes run one closure (kernels_numpy.class_steps): it closes
 the classes of S_2, ..., S_n in turn, each with the rewrites through the
-first position over the classes of the one before.  A rewrite that
+first position over the classes of the one before, and yields each S_k
+as it closes it.  So a request for several n (``decompositions``, which
+verify and the theorem checks use) is one pass over the steps, up to the
+largest n; ``enumerate_classes`` is its last step.  A rewrite that
 leaves the first letter alone acts on the last k-1 letters as the same
 rewrite in S_{k-1}: every window but the first in factor mode, every
 index set without position 0 in subword mode.  A subword step also joins
@@ -24,7 +27,8 @@ batch at a time by root hooking over one int32 root array, so no step
 holds more than one batch's edges: in factor mode the first window's
 local pairs read as rows of the class ids of S_{k-1}, the whole step
 within a fixed edge budget, else one first digit a batch; in subword
-mode one join slice or index set.  The class sizes and minimal ranks come from the last step's nodes.
+mode one join slice or index set.  The class sizes and minimal ranks
+come from the step's nodes.
 ``hit_mask`` and the avoider counts use the same digit grid.
 
 ``class_of`` finds one class without the decomposition.  In factor mode it
@@ -37,8 +41,8 @@ over the rewrite targets of relation.rewrites.
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
 against the available RAM (and PERMCLASS_MEMORY_CAP_MB, if set), once
-before the closure and again before its last step, over the classes of
-S_{n-1} it found.
+before the closure and again before the step that closes S_n, over the
+classes of S_{n-1} it found; a pass checks each n it yields in turn.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,7 +194,7 @@ def _check_bounds(
 
     The estimate is checked here over one class of S_{n-1}; the check is
     returned (None if no limit applies) for the closure to repeat before
-    its last step, over the classes of S_{n-1} it found."""
+    the step that closes S_n, over the classes of S_{n-1} it found."""
     bound = (LARGE_MAX_N if allow_large else DEFAULT_MAX_N)[mode]
     if n > bound:
         hint = ""
@@ -244,7 +248,8 @@ def enumerate_classes(
     workers: int | None = None,
     allow_large: bool = False,
 ) -> ClassDecomposition:
-    """Exact transitive closure of the one-step relation over all of S_n.
+    """Exact transitive closure of the one-step relation over all of S_n:
+    the last step of decompositions.
 
     ``workers`` must be >= 1 if given; it has no effect yet, since the
     closure runs serially.
@@ -253,21 +258,56 @@ def enumerate_classes(
         raise ValueError("n must be >= 1")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    (dec,) = decompositions(range(n, n + 1), partition, mode, allow_large)
+    return dec
+
+
+def decompositions(
+    ns: range,
+    partition: ReplacementPartition,
+    mode: Mode = "factor",
+    allow_large: bool = False,
+) -> Iterator[ClassDecomposition]:
+    """The decomposition of S_n for each n of ns (a range of n >= 1 with
+    step 1), in order, from one pass of the closure up to its last n: each
+    is the step of kernels_numpy.class_steps that closes S_n.
+
+    Each n is checked as enumerate_classes(n) checks it, in the same
+    order: its bound and estimate over one class of S_{n-1} before the
+    pass for the first n, and right after the previous n is yielded for
+    the others, then the estimate over the classes of S_{n-1} before its
+    step.  So a refusal comes at the first n that fails, and nothing past
+    the n a caller last asked for is closed or checked.
+    """
     if mode not in DEFAULT_MAX_N:
         raise ValueError(f"unknown mode {mode!r}; expected 'factor' or 'subword'")
-    check = _check_bounds(n, mode, partition, allow_large)
-    tail, prev, sizes, rep_ranks = kernels_numpy.class_ids(n, build_tables(partition), mode, check)
-    for arr in (tail, prev, sizes, rep_ranks):
-        arr.flags.writeable = False
-    return ClassDecomposition(
-        n=n,
-        mode=mode,
-        partition_text=partition.text(),
-        tail=tail,
-        prev=prev,
-        class_sizes=sizes,
-        rep_ranks=rep_ranks,
-    )
+    if not ns:
+        return
+    if ns.step != 1 or ns[0] < 1:
+        raise ValueError(f"decompositions need n >= 1 in steps of 1, got {ns}")
+    first = _check_bounds(ns[0], mode, partition, allow_large)
+
+    def admit(k: int, classes: int) -> None:
+        if k in ns:
+            check = first if k == ns[0] else _check_bounds(k, mode, partition, allow_large)
+            if check is not None:
+                check(classes)
+
+    text = partition.text()
+    steps = kernels_numpy.class_steps(ns[-1], build_tables(partition), mode, admit)
+    for n, (tail, prev, sizes, rep_ranks) in enumerate(steps, 1):
+        if n in ns:
+            for arr in (tail, prev, sizes, rep_ranks):
+                arr.flags.writeable = False
+            yield ClassDecomposition(
+                n=n,
+                mode=mode,
+                partition_text=text,
+                tail=tail,
+                prev=prev,
+                class_sizes=sizes,
+                rep_ranks=rep_ranks,
+            )
 
 
 # Most entries of a cached factor move table (32 MiB of int64).  A table

@@ -23,10 +23,12 @@ own loc plus a delta read off the letters it moves and how the other
 letters interleave with them (``_local_pairs``), so no row of letters is
 copied or re-ranked.
 
-``class_ids`` closes the edges of either mode one letter at a time, from
-S_1: a rewrite that leaves the first letter alone acts on the rank of the
-other letters only, so each step closes the rewrites through position 0
-over the classes of the step before.  In subword mode a rewrite that
+``class_steps`` closes the edges of either mode one letter at a time, from
+S_1, and yields the classes of each S_k as it closes them, so a request
+for several n is one pass over the steps, up to the largest.  A rewrite
+that leaves the first letter alone acts on the rank of the other letters
+only, so each step closes the rewrites through position 0 over the
+classes of the step before.  In subword mode a rewrite that
 leaves the last letter alone acts on the rank of the first letters only,
 so the step joins the two closures and adds only the index sets through
 both ends.  ``connected_class_ids`` closes a step's edges one batch at a
@@ -37,8 +39,8 @@ window's local pairs (``factor_edges``), the whole step if it has at
 most _BATCH_EDGES edges, else one first digit at a time, mapped to nodes
 straight from rows of the class ids of the step before, so factor mode
 builds no k!-sized array; subword batches are one join slice or one
-index set.  The ids of S_n are left as the last step's tail nodes and the
-ids of S_{n-1}, for the caller to gather if it needs them.
+index set.  The ids of S_k are left as the step's tail nodes and the ids
+of S_{k-1}, for the caller to gather if it needs them.
 
 The same local rules give one class without the others: ``factor_moves``
 turns every window's local pairs into rank deltas, and ``class_ranks``
@@ -202,16 +204,17 @@ def subword_edges(n: int, tab: PatternTables, idx):
 _BATCH_EDGES = 1 << 17
 
 
-def class_ids(
-    n: int, tab: PatternTables, mode: str, admit: Callable[[int], None] | None = None
-):
-    """(tail, prev, sizes, reps): the classes of S_n in the given mode, ids
-    following minimal rank, built up one letter at a time from S_1.  Rank
-    ``d * (n-1)! + t`` has class ``tail[d * C + prev[t]]``, where prev
-    holds the class ids of S_{n-1} and C their number; sizes and reps give
-    each class's size and minimal rank.  ``admit``, if given, is called
-    with the number of classes of S_{n-1} before the last step, and may
-    raise to refuse it.
+def class_steps(
+    n: int, tab: PatternTables, mode: str, admit: Callable[[int, int], None] | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(tail, prev, sizes, reps) of the classes of S_1, S_2, ..., S_n in
+    the given mode, ids following minimal rank, yielded as each step
+    closes: one pass builds every k up to n.  Rank ``d * (k-1)! + t`` of
+    S_k has class ``tail[d * C + prev[t]]``, where prev holds the class ids
+    of S_{k-1} and C their number; sizes and reps give each class's size
+    and minimal rank.  ``admit``, if given, is called with k and the number
+    of classes of S_{k-1} before each step k >= 2, and may raise to refuse
+    it.  No step is kept past the next one.
 
     Rank r of S_k is ``d * (k-1)! + t``: d is its first digit and t the
     rank in S_{k-1} of its last k-1 letters, standardized.  A rewrite that
@@ -236,28 +239,29 @@ def class_ids(
     size and minimal rank come from its tail nodes, each (d, c) of size
     ``sizes[c]`` and minimal rank ``d * (k-1)! + reps[c]``.  cls of S_{k-1}
     is read off the tail and cls of the step before at the start of step
-    k, so the ids of S_n are never gathered; head and last (the last
+    k, so the ids of S_k are never gathered; head and last (the last
     letter, 0-based) are carried from step to step below n.
     """
     tail = prev = np.zeros(1, dtype=np.int32)
     sizes, reps = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     head, last = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
+    yield tail, prev, sizes, reps
     for k in range(2, n + 1):
         num = len(sizes)
-        if k == n and admit is not None:
-            admit(num)
+        if admit is not None:
+            admit(k, num)
         prev = tail.reshape(k - 1, -1)[:, prev].ravel()
         total = (k if mode == "factor" else 2 * k) * num
         batches = _batches(k, tab, mode, prev, num, head, last)
         comp, new_num = connected_class_ids(total, batches)
         tail = comp[: k * num]
+        if mode == "subword":
+            tail = tail.copy()  # a view would keep the step's head nodes alive
         sizes, reps = _sizes_reps(k, tail, num, new_num, sizes, reps)
         if mode == "subword" and k < n:
             parts = [_head_last(k, d, head, last) for d in range(k)]
             head, last = (np.concatenate(col) for col in zip(*parts))
-    if mode == "subword":
-        tail = tail.copy()  # a view would keep the last step's head nodes alive
-    return tail, prev, sizes, reps
+        yield tail, prev, sizes, reps
 
 
 def _sizes_reps(k: int, tail: np.ndarray, num: int, new_num: int, sizes, reps):
@@ -289,7 +293,7 @@ def _head_last(k: int, d: int, head: np.ndarray, last: np.ndarray):
 
 
 def _batches(k, tab, mode, cls, num, head, last) -> Iterator:
-    """The edges of S_k left to close over its nodes (class_ids), as node
+    """The edges of S_k left to close over its nodes (class_steps), as node
     pairs, one batch at a time: in factor mode the first window
     (``_factor_batches``); in subword mode the join of each first digit's
     tail and head nodes, then the index sets through positions 0 and k-1."""

@@ -119,23 +119,25 @@ def _check_range(k: int, check_to: int | None) -> None:
 def avoider_criterion(
     partition: ReplacementPartition, k: int, check_to: int | None = None
 ) -> CriterionReport:
-    """Check N_k = A_k (k >= 2c-1) and brute-force the propagation."""
+    """Check N_k = A_k (k >= 2c-1) and brute-force the propagation, from
+    one pass of the closure over k..check_to that stops at k if the
+    criterion fails there."""
     c = partition.c
     if k < 2 * c - 1:
         raise ValueError(f"criterion needs k >= 2c-1 = {2 * c - 1}, got {k}")
     _check_range(k, check_to)
-    n_k = engine.enumerate_classes(k, partition).num_classes
+    top = check_to if check_to is not None else k
+    decs = engine.decompositions(range(k, top + 1), partition)
+    n_k = next(decs).num_classes
     a_k = count_U_avoiders(k, partition)
     holds = n_k == a_k
-    top = check_to if check_to is not None else k
     per_n: dict[int, tuple[int, int]] = {}
     ok = holds
     if holds:
-        for n in range(k + 1, top + 1):
-            nn = engine.enumerate_classes(n, partition).num_classes
-            an = count_U_avoiders(n, partition)
-            per_n[n] = (nn, an)
-            if nn != an:
+        for dec in decs:
+            an = count_U_avoiders(dec.n, partition)
+            per_n[dec.n] = (dec.num_classes, an)
+            if dec.num_classes != an:
                 ok = False
     return CriterionReport(
         partition_text=partition.text(),
@@ -153,25 +155,20 @@ def avoider_criterion(
 def adjacent_equals_subword(
     partition: ReplacementPartition, k: int, check_to: int | None = None
 ) -> EqualityReport:
-    """Compare factor- and subword-mode class decompositions at k..check_to."""
+    """Compare factor- and subword-mode class decompositions at k..check_to,
+    from one pass of each mode that stops at the first n where they differ."""
     if k <= partition.c:
         raise ValueError(f"need k > c = {partition.c}")
     _check_range(k, check_to)
     top = check_to if check_to is not None else k
-
-    def equal_at(n: int) -> bool:
-        a = engine.enumerate_classes(n, partition, mode="factor")
-        b = engine.enumerate_classes(n, partition, mode="subword")
-        return bool(np.array_equal(a.class_id, b.class_id))
-
-    eq_k = equal_at(k)
+    ns = range(k, top + 1)
     through = None
-    if eq_k:
-        through = k
-        for n in range(k + 1, top + 1):
-            if not equal_at(n):
-                break
-            through = n
+    for a, b in zip(engine.decompositions(ns, partition, "factor"),
+                    engine.decompositions(ns, partition, "subword")):
+        if not np.array_equal(a.class_id, b.class_id):
+            break
+        through = a.n
+    eq_k = through is not None
     return EqualityReport(
         partition_text=partition.text(),
         k=k,

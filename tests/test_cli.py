@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import permclass
 from permclass import cli, engine, oracle
+from permclass.engine import kernels_numpy as kn
 
 
 def run(capsys, *argv):
@@ -216,6 +217,74 @@ def test_verify_ok(capsys):
     assert "all rows verified" in out
 
 
+def test_verify_n11_allow_large(capsys):
+    # two registered formulas past the default bound, one pass each
+    keys = ("{123,231}{132,213}", "{132,312}{213,321}")
+    code, out, _ = run(capsys, "verify", "--relations", ";".join(keys), "--n-max", "11",
+                       "--figure2-n-max", "2", "--allow-large")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "all rows verified"
+    for key in keys:
+        want = oracle.expected_count(key, 11)
+        assert f"OK       {key:24s} n=11 expected={want} engine={want}" in lines
+
+
+def _counted_passes(monkeypatch):
+    """Wrap kernels_numpy.class_steps: one list per pass, of the k of each
+    S_k it closed."""
+    passes = []
+    class_steps = kn.class_steps
+
+    def counted(n, tab, mode, admit=None):
+        passes.append([])
+        for k, step in enumerate(class_steps(n, tab, mode, admit), 1):
+            passes[-1].append(k)
+            yield step
+
+    monkeypatch.setattr(kn, "class_steps", counted)
+    return passes
+
+
+def test_verify_closes_each_relation_in_one_pass(capsys, monkeypatch):
+    # the default report's 93 rows come from one pass per relation, up to
+    # n=7, and one for Figure 2, up to n=8
+    passes = _counted_passes(monkeypatch)
+    code, out, _ = run(capsys, "verify")
+    assert code == 0 and sum(line.startswith("OK ") for line in out.splitlines()) == 93
+    assert passes == [list(range(1, 8))] * len(oracle.relation_keys()) + [list(range(1, 9))]
+
+
+_BOUND_11 = ("resource error: n=11 exceeds the factor-mode bound 10 (estimated 58 MB needed;"
+             " pass allow_large (or --allow-large) to raise the bound)\n")
+
+
+@pytest.mark.parametrize("cap, argv, code, err, closed", [
+    (None, ("verify", "--n-max", "11", "--relations", "{123,132}{213,231}"), 3, _BOUND_11,
+     [list(range(1, 11))]),
+    ("0.05", ("verify", "--n-max", "7"), 3,
+     "resource error: estimated 0 MB exceeds PERMCLASS_MEMORY_CAP_MB\n", [list(range(1, 7))]),
+    (None, ("theorem", "avoider-criterion", "--partition", "{132,231}{213,312}", "--k", "5",
+            "--check-to", "11"), 0, "", [list(range(1, 6))]),
+    (None, ("theorem", "avoider-criterion", "--partition", "{123,132}{213,231}", "--k", "5",
+            "--check-to", "11"), 3, _BOUND_11, [list(range(1, 11))]),
+])
+def test_multi_n_requests_refuse_at_the_first_failing_n(capsys, monkeypatch, cap, argv, code,
+                                                        err, closed):
+    # a pass checks each n as a request for that n alone would, in order,
+    # and closes nothing past the n it refuses or where a criterion fails
+    if cap is not None:
+        monkeypatch.setenv("PERMCLASS_MEMORY_CAP_MB", cap)
+    passes = _counted_passes(monkeypatch)
+    got, out, got_err = run(capsys, *argv)
+    assert (got, got_err) == (code, err)
+    if code == 0:
+        report = json.loads(out)
+        assert report["holds"] is False and report["per_n"] == {}
+    else:
+        assert out == ""
+    assert passes == closed
+
+
 def test_verify_detects_corruption(capsys, monkeypatch):
     # corrupt one table constant: verify must fail with a diff line and exit 1
     monkeypatch.setitem(oracle._FIGURE2, 4, 11)
@@ -385,17 +454,29 @@ _QUERY = st.one_of(st.tuples(st.none(), _PERM_TEXT),
                    st.tuples(st.integers(-2, 64), st.one_of(_perm_text(20), _PERM_TEXT)))
 
 
+_KEYS = st.sampled_from((*oracle.relation_keys(), oracle.FIGURE2_KEY))
+
+
 @st.composite
 def _fuzz_argv(draw):
     """count and classes over partition and permutation text; invariant
     (plain, with --partition, or --name canonical), stooge --normalize and
     theorem down-jump over permutations of up to 6 letters, and over the
-    registered relations as well, so that more of them get past parsing."""
-    cmd = draw(st.sampled_from(["count", "classes", "invariant", "stooge", "theorem"]))
+    registered relations as well, so that more of them get past parsing;
+    verify over lists of them up to n=6, and the avoider-criterion and
+    adjacent-subword theorems up to n=7."""
+    cmd = draw(st.sampled_from(["count", "classes", "invariant", "stooge", "theorem",
+                                "verify"]))
+    if cmd == "verify":
+        relations = draw(st.one_of(st.just("all"),
+                                   st.lists(st.one_of(_KEYS, _PARTITION_TEXT), max_size=3)
+                                   .map(";".join)))
+        return ["verify", "--relations", relations, "--n-max", str(draw(st.integers(-1, 6))),
+                "--figure2-n-max", str(draw(st.integers(-1, 6)))]
     if cmd in ("count", "classes"):
         partition = draw(_PARTITION_TEXT)
     else:
-        partition = draw(st.one_of(_PARTITION_TEXT, st.sampled_from(oracle.relation_keys())))
+        partition = draw(st.one_of(_PARTITION_TEXT, _KEYS))
     if cmd == "invariant":
         argv = ["invariant", "--perm", draw(_PERM_TEXT)]
         kind = draw(st.sampled_from(["plain", "partition", "canonical"]))
@@ -408,6 +489,13 @@ def _fuzz_argv(draw):
     if cmd == "stooge":
         return ["stooge", "--partition", partition, "--normalize", draw(_PERM_TEXT)]
     if cmd == "theorem":
+        theorem = draw(st.sampled_from(["down-jump", "avoider-criterion", "adjacent-subword"]))
+        if theorem != "down-jump":
+            argv = ["theorem", theorem, "--partition", partition,
+                    "--k", str(draw(st.integers(-1, 7)))]
+            if draw(st.booleans()):
+                argv += ["--check-to", str(draw(st.integers(-1, 7)))]
+            return argv
         strategy = draw(st.sampled_from(["leftmost", "rightmost"]))
         return ["theorem", "down-jump", "--partition", partition, "--perm", draw(_PERM_TEXT),
                 "--strategy", strategy]

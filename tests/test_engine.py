@@ -214,15 +214,38 @@ def test_class_ids_match_whole_grid_closure(mode):
     keys = [*oracle.relation_keys(), "{12,21}", "{1234,1243}{2134,2143}", "{1234,4321}"]
     for key in keys:
         tab = build_tables(relation.parse_partition(key))
-        for n in range(1, 9 if mode == "factor" else 8):
-            _check_class_ids(n, tab, mode, key)
+        steps = kn.class_steps(8 if mode == "factor" else 7, tab, mode)
+        for n, step in enumerate(steps, 1):
+            _check_class_ids(n, tab, mode, key, step)
 
 
-def _check_class_ids(n, tab, mode, key):
-    """class_ids against csgraph over every window's (index set's) edges,
-    with each class's size and minimal rank read off the expected ids.
-    Rank d*(n-1)! + t has class tail[d*C + prev[t]]."""
-    tail, prev, sizes, reps = kn.class_ids(n, tab, mode)
+@pytest.mark.parametrize("mode, top", [("factor", 8), ("subword", 7)])
+def test_one_pass_matches_separate_enumerations(mode, top):
+    # every S_k of one pass, for every registered relation and Figure 2,
+    # is the decomposition that a request for k alone gives
+    for key in (*oracle.relation_keys(), oracle.FIGURE2_KEY):
+        K = relation.parse_partition(key)
+        decs = engine.decompositions(range(1, top + 1), K, mode)
+        for k, dec in enumerate(decs, 1):
+            alone = engine.enumerate_classes(k, K, mode)
+            assert (dec.n, dec.mode, dec.partition_text) == (k, mode, K.text())
+            assert np.array_equal(dec.class_id, alone.class_id), (key, k)
+            assert np.array_equal(dec.class_sizes, alone.class_sizes), (key, k)
+            assert np.array_equal(dec.rep_ranks, alone.rep_ranks), (key, k)
+        assert k == top
+    K = relation.parse_partition(oracle.FIGURE2_KEY)
+    assert [dec.n for dec in engine.decompositions(range(4, 7), K, mode)] == [4, 5, 6]
+    assert list(engine.decompositions(range(4, 4), K, mode)) == []
+    with pytest.raises(ValueError):
+        next(engine.decompositions(range(3, 8, 2), K, mode))
+
+
+def _check_class_ids(n, tab, mode, key, step):
+    """The step of class_steps that closes S_n against csgraph over every
+    window's (index set's) edges, with each class's size and minimal rank
+    read off the expected ids.  Rank d*(n-1)! + t has class
+    tail[d*C + prev[t]]."""
+    tail, prev, sizes, reps = step
     assert len(prev) == factorial(n - 1) and len(tail) % n == 0
     class_id = tail.reshape(n, -1)[:, prev].ravel()
     if mode == "factor":
@@ -241,7 +264,10 @@ def _check_class_ids(n, tab, mode, key):
 def test_subword_class_ids_match_every_index_set_n8(key):
     # the join of head and tail classes and the index sets through both
     # ends, against csgraph over all C(8, 3) index sets of S_8
-    _check_class_ids(8, build_tables(relation.parse_partition(key)), "subword", key)
+    tab = build_tables(relation.parse_partition(key))
+    for n, step in enumerate(kn.class_steps(8, tab, "subword"), 1):
+        if n == 8:
+            _check_class_ids(n, tab, "subword", key, step)
 
 
 def test_head_last_recurrence_matches_unrank():
