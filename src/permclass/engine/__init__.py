@@ -158,9 +158,10 @@ def estimate_bytes(
     known).
 
     The edges come from ``kernels_numpy.factor_step_edges``: the first
-    window's edges of S_n, e = sum C(|part|, 2) / c! a rank, and the most
-    that one factor batch holds.  Without a partition the single part of
-    all of S_3 is charged, 2.5 edges a rank.
+    window's edges of S_n, e = sum (|part| - 1) / c! a rank (each part
+    joined by a star from its D pattern, ``tables.build_tables``), and the
+    most that one factor batch holds.  Without a partition the single part
+    of all of S_3 is charged, 5/6 of an edge a rank.
 
     Both modes charge 40 B a node (n * classes tail nodes, and as many head
     nodes in subword mode): the root array and its pointer jumps, the
@@ -170,12 +171,12 @@ def estimate_bytes(
     its root images and the closure's filtered copies).
 
     Subword mode holds per rank the column-major letters of S_n (n B), the
-    int32 node array and one index set's pattern ids, interleave code and
-    pattern rows, with the head and last arrays of S_{n-1}, n + 14 B
-    together, and one index set's edges through both ends (e a rank, as
-    many as the first window's) or one join slice (1/n a rank), 24 B an
-    edge (its int32 local pairs, which are its rank edges, their node
-    images and the closure's copies).
+    int32 node array and one index set's pattern ids, with its source rows
+    and their interleave code, and the head and last arrays of S_{n-1},
+    n + 14 B together, and one index set's edges through both ends (e a
+    rank, as many as the first window's) or one join slice (1/n a rank),
+    24 B an edge (its int32 local pairs, which are its rank edges, their
+    node images and the closure's copies).
     """
     if partition is None:
         partition = relation.make_partition([list(perms.all_perms(3))])

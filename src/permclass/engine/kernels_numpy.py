@@ -119,8 +119,8 @@ def window_pattern_ids(m: int, c: int) -> np.ndarray:
 def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarray, np.ndarray]:
     """The local edges (a, b) of the rewrites at the columns cols of the
     first span letters of S_m, as int32 loc arrays: a is a loc whose
-    pattern at cols has a partner with a larger id, b the loc rewritten to
-    that partner.
+    pattern at cols has partners (a part's D pattern, ``build_tables``),
+    b the loc rewritten to one of them.
 
     The loc of letters L_0..L_{span-1} is ``sum_j (L_j - E_j) * w_j``, where
     E_j counts the earlier letters below L_j and w_j is the weight of digit
@@ -130,8 +130,9 @@ def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarra
     linear in those letters, less the change in the E pairs with an end at
     cols, which depends only on how many moved letters lie below each
     other letter: a table (``_pair_weights``) over the code of
-    ``_interleave``.  Each pattern's rows are gathered one letter column at
-    a time; no row is copied or ranked again.
+    ``_interleave``.  Each source pattern's rows are gathered one letter
+    column at a time, and the code is read off those rows alone; no row is
+    copied or ranked again.
     """
     letters = window_letters(m, span)
     cols = list(cols)
@@ -142,13 +143,13 @@ def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarra
     sources = np.flatnonzero(np.diff(tab.partners_ptr)).tolist()
     pairs = {t: _pair_weights(onel[t], cols, others, weight)
              for t in set(sources) | set(tab.partners_idx.tolist())}
-    code = _interleave(letters, moved, others)
     pid = _pattern_ids(moved)
     a_parts, b_parts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     for t in sources:
         rows = np.flatnonzero(pid == t)
-        a, at = rows.astype(np.int32), code[rows]
+        a = rows.astype(np.int32)
         here = [x[rows] for x in moved]
+        at = _interleave(here, [letters[j][rows] for j in others])
         for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]].tolist():
             dest = np.argsort(onel[q])[onel[t]]
             b = a + (pairs[t] - pairs[q]).astype(np.int32)[at]
@@ -160,15 +161,16 @@ def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarra
     return np.concatenate(a_parts), np.concatenate(b_parts)
 
 
-def _interleave(letters: np.ndarray, moved: list, others: list) -> np.ndarray:
-    """For each loc, the number of moved letters below the letter at each
-    column j of others, read as one code in radix len(moved) + 1."""
+def _interleave(moved: list, others: list) -> np.ndarray:
+    """For each row of the equal-length letter columns, the number of moved
+    letters below the letter in each column of others, read as one code in
+    radix len(moved) + 1."""
     radix = len(moved) + 1
-    code = np.zeros(letters.shape[1], dtype=np.min_scalar_type(radix ** len(others) - 1))
-    for j in others:
+    code = np.zeros(len(moved[0]), dtype=np.min_scalar_type(radix ** len(others) - 1))
+    for y in others:
         code *= radix
         for x in moved:
-            code += x < letters[j]
+            code += x < y
     return code
 
 
@@ -473,7 +475,16 @@ def window_hits(n: int, c: int, mask: np.ndarray) -> np.ndarray:
 
 
 def count_banned_avoiders(n: int, c: int, banned: np.ndarray) -> int:
-    return int(np.count_nonzero(~window_hits(n, c, banned).any(axis=1)))
+    """The ranks of S_n with no window whose pattern id is marked in
+    banned: one n! bool array of survivors, cleared a window at a time over
+    the digit grid, as ``window_hits`` marks them."""
+    total = factorial(n)
+    alive = np.ones(total, dtype=np.bool_)
+    for i in range(n - c + 1):
+        m = n - i
+        grid = alive.reshape(total // factorial(m), -1, factorial(m - c))
+        grid &= ~banned[window_pattern_ids(m, c)][:, None]
+    return int(np.count_nonzero(alive))
 
 
 def connected_class_ids(total: int, batches: Iterable):

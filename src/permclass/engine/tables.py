@@ -1,8 +1,18 @@
 """Flat lookup tables over S_c shared by the factor and subword kernels.
 
 Patterns are indexed by their Lehmer rank within S_c (lexicographic
-order).  Partner lists only contain partners with a *larger* pattern id,
-so each unordered transformation edge is generated exactly once.
+order).  Each nontrivial part is joined by a star from its least pattern,
+the part's D pattern: that pattern's partners are the part's other
+patterns, and no other pattern has partners.  So a part of size s gives
+s - 1 edges a site, not the C(s, 2) of every pair.
+
+The star spans the same components as every pair.  At one site the
+rewrites within a part rearrange the same letters, so they join the
+part's arrangements of those letters to each other, and every such
+arrangement is one edge from the D arrangement.  A site's clique and its
+star therefore connect the same permutations, and every class, with its
+size and representative, is unchanged.  The tuple BFS of
+``relation.rewrites`` still lists every mate.
 """
 
 from __future__ import annotations
@@ -31,8 +41,7 @@ def build_tables(partition: ReplacementPartition) -> PatternTables:
     partner_lists: list[list[int]] = [[] for _ in range(nc)]
     for part in partition.nontrivial_parts:
         ids = sorted(perms.rank(p) for p in part)
-        for a, t in enumerate(ids):
-            partner_lists[t] = ids[a + 1 :]
+        partner_lists[ids[0]] = ids[1:]
     ptr = np.zeros(nc + 1, dtype=np.int64)
     for t in range(nc):
         ptr[t + 1] = ptr[t] + len(partner_lists[t])

@@ -36,8 +36,8 @@ MAX_N = 20
 
 def as_word(letters: Iterable[int]) -> Word:
     """Validate a sequence of distinct positive integers."""
-    w = tuple(int(x) for x in letters)
-    if any(x < 1 for x in w):
+    w = tuple(map(int, letters))
+    if w and min(w) < 1:
         raise InvalidWordError(f"letters must be positive integers: {w}")
     if len(set(w)) != len(w):
         raise InvalidWordError(f"letters must be distinct: {w}")

@@ -11,7 +11,8 @@ letters so the factor standardizes to another member of the same part.
 Subword mode does the same over non-adjacent index tuples, permuting the
 values at the chosen indices in place.  Every reading of hits below
 (hits, avoiders, down jumps, rewrites) comes from one scan that looks a
-site's argsort up among the partition's patterns, with no standardizing.
+site's pairwise letter comparisons up among the partition's patterns,
+with no standardizing.
 
 Within each nontrivial part the lexicographic minimum is the part's D
 pattern; the remaining members form U.  Rewriting a U-hit into its
@@ -22,10 +23,11 @@ decreasing, which is what makes repeated down jumps terminate.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Literal, Sequence
 
 from . import perms
@@ -75,6 +77,11 @@ class ReplacementPartition:
     @property
     def nontrivial_patterns(self) -> tuple[Perm, ...]:
         return tuple(p for part in self.nontrivial_parts for p in part)
+
+    @cached_property
+    def recipes(self) -> dict:
+        """The hit scan's rewrite recipes (``_mate_orders``), built on first use."""
+        return _mate_orders(self)
 
     def text(self) -> str:
         """Canonical serialization, e.g. ``{123,321}{132,231}``."""
@@ -183,52 +190,72 @@ class Transformation:
         return self.indices[0]
 
 
-@lru_cache(maxsize=64)
 def _mate_orders(
     partition: ReplacementPartition,
-) -> dict[tuple[int, ...], tuple[Perm, tuple[tuple[Perm, tuple[int, ...]], ...]]]:
-    """Rewrite recipes keyed by a hit's argsort.
+) -> dict[tuple[bool, ...], tuple[Perm, tuple[tuple[Perm, tuple[int, ...]], ...]]]:
+    """Rewrite recipes keyed by a hit's pairwise comparisons.
 
-    The argsort of a window (its 0-based positions in increasing letter
-    order) is the inverse of its pattern, so it identifies the pattern
-    without standardizing.  Each entry is (pattern, ((mate, order), ...)),
-    the mates in part order: the window rewritten to ``mate`` is
-    ``tuple(window[o] for o in order)``.
+    A window's comparisons ``w[a] > w[b]``, over the pairs a < b of its
+    positions in ``itertools.combinations`` order, fix its pattern without
+    standardizing.  Each entry is (pattern, ((mate, order), ...)), the
+    mates in part order: the window rewritten to ``mate`` is
+    ``tuple(window[o] for o in order)``, where order reads the pattern's
+    argsort (its 0-based positions in increasing letter order) at the
+    mate's letters.  Built once per partition (``ReplacementPartition``
+    keeps it), so no call hashes the partition.
     """
+    pairs = list(itertools.combinations(range(partition.c), 2))
     out = {}
     for part in partition.nontrivial_parts:
         for pat in part:
             inv = [0] * partition.c
             for j, x in enumerate(pat):
                 inv[x - 1] = j
-            out[tuple(inv)] = (
+            out[tuple(pat[a] > pat[b] for a, b in pairs)] = (
                 pat,
                 tuple((q, tuple(inv[x - 1] for x in q)) for q in part if q != pat),
             )
     return out
 
 
+@lru_cache(maxsize=64)
+def _site_table(
+    n: int, c: int, mode: Mode
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """(sites, left, right) for words of n letters: the 0-based index
+    sets in site order (windows left to right, or index combinations in
+    lexicographic order), and the two ends of every pair of positions of
+    each site, site by site, in the pair order of ``_mate_orders``."""
+    if mode == "factor":
+        sites = tuple(tuple(range(i, i + c)) for i in range(n - c + 1))
+    elif mode == "subword":
+        sites = tuple(itertools.combinations(range(n), c))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    pairs = list(itertools.combinations(range(c), 2))
+    left = tuple(idx[a] for idx in sites for a, _ in pairs)
+    right = tuple(idx[b] for idx in sites for _, b in pairs)
+    return sites, left, right
+
+
 def _sites(
     p: Perm, partition: ReplacementPartition, mode: Mode
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Perm, tuple]]:
     """Yield (0-based indices, letters, pattern, mates) for every hit of the
-    tuple p, in site order (windows left to right, or index combinations in
-    lexicographic order); mates are the pattern's ((mate, order), ...) of
-    ``_mate_orders``."""
-    c = partition.c
-    if mode == "factor":
-        sites = ((range(i, i + c), p[i : i + c]) for i in range(len(p) - c + 1))
-    elif mode == "subword":
-        sites = ((idx, tuple([p[i] for i in idx]))
-                 for idx in itertools.combinations(range(len(p)), c))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    recipes = _mate_orders(partition)
-    window = range(c)
-    for idx, w in sites:
-        entry = recipes.get(tuple(sorted(window, key=w.__getitem__)))
+    tuple p, in site order; mates are the pattern's ((mate, order), ...) of
+    ``_mate_orders``.  Every site's comparisons come from one pass over
+    the pairs of ``_site_table``, and each site looks its own slice up."""
+    sites, left, right = _site_table(len(p), partition.c, mode)
+    recipes = partition.recipes
+    if not recipes:
+        return
+    k = partition.c * (partition.c - 1) // 2
+    get = p.__getitem__
+    greater = tuple(map(operator.gt, map(get, left), map(get, right)))
+    for s, idx in enumerate(sites):
+        entry = recipes.get(greater[s * k : s * k + k])
         if entry is not None:
-            yield tuple(idx), w, entry[0], entry[1]
+            yield idx, tuple(map(get, idx)), entry[0], entry[1]
 
 
 def _placed(p: Perm, idx: tuple[int, ...], w: tuple[int, ...], order) -> Perm:

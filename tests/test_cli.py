@@ -261,7 +261,7 @@ _BOUND_11 = ("resource error: n=11 exceeds the factor-mode bound 10 (estimated 5
 @pytest.mark.parametrize("cap, argv, code, err, closed", [
     (None, ("verify", "--n-max", "11", "--relations", "{123,132}{213,231}"), 3, _BOUND_11,
      [list(range(1, 11))]),
-    ("0.05", ("verify", "--n-max", "7"), 3,
+    ("0.03", ("verify", "--n-max", "7"), 3,
      "resource error: estimated 0 MB exceeds PERMCLASS_MEMORY_CAP_MB\n", [list(range(1, 7))]),
     (None, ("theorem", "avoider-criterion", "--partition", "{132,231}{213,312}", "--k", "5",
             "--check-to", "11"), 0, "", [list(range(1, 6))]),
@@ -463,10 +463,16 @@ def _fuzz_argv(draw):
     (plain, with --partition, or --name canonical), stooge --normalize and
     theorem down-jump over permutations of up to 6 letters, and over the
     registered relations as well, so that more of them get past parsing;
-    verify over lists of them up to n=6, and the avoider-criterion and
-    adjacent-subword theorems up to n=7."""
+    verify over lists of them up to n=6, the avoider-criterion and
+    adjacent-subword theorems and stooge --n up to n=7, orbit over both,
+    and table over its figures, formats and --n-max, valid or not."""
     cmd = draw(st.sampled_from(["count", "classes", "invariant", "stooge", "theorem",
-                                "verify"]))
+                                "verify", "table", "orbit"]))
+    if cmd == "table":
+        argv = ["table", "--figure", draw(st.sampled_from(["1", "2", "3", "x"])),
+                "--n-max", str(draw(st.integers(-2, 40))),
+                "--format", draw(st.sampled_from(["csv", "json", "text"]))]
+        return argv + (["--list-relations"] if draw(st.booleans()) else [])
     if cmd == "verify":
         relations = draw(st.one_of(st.just("all"),
                                    st.lists(st.one_of(_KEYS, _PARTITION_TEXT), max_size=3)
@@ -486,7 +492,12 @@ def _fuzz_argv(draw):
             key = draw(st.sampled_from(["bushy", "root", "v_perm", "compact"]))
             argv += ["--name", "canonical", "--relation-key", key]
         return argv
+    if cmd == "orbit":
+        return ["orbit", "--partition", partition,
+                "--format", draw(st.sampled_from(["text", "json", "csv"]))]
     if cmd == "stooge":
+        if draw(st.booleans()):
+            return ["stooge", "--partition", partition, "--n", str(draw(st.integers(-1, 7)))]
         return ["stooge", "--partition", partition, "--normalize", draw(_PERM_TEXT)]
     if cmd == "theorem":
         theorem = draw(st.sampled_from(["down-jump", "avoider-criterion", "adjacent-subword"]))

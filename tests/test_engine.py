@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 import permclass
 from permclass import engine, oracle, perms, relation
 from permclass.engine import kernels_numpy as kn
-from permclass.engine.tables import build_tables
+from permclass.engine.tables import PatternTables, build_tables
 from permclass.errors import ResourceLimitError
 
 
@@ -157,16 +157,19 @@ def _window_edges(n, tab, i):
     return _grid_edges(n, tab, range(i, i + tab.c))
 
 
-def _table_edges(n, K, idx):
+def _table_edges(n, K, idx, star=False):
     """Independent edges at the index set idx: the rows of _unrank_table
     whose letters there form a nontrivial pattern, rewritten to every other
-    pattern of its part and ranked by _lehmer_ranks."""
+    pattern of its part and ranked by _lehmer_ranks.  With star, only the
+    rewrites from or to the part's D pattern (its least)."""
     table = _unrank_table(n)
     pid = _lehmer_ranks(table[:, idx])
     letters = np.sort(table[:, idx], axis=1)
     batches = []
     for part in K.nontrivial_parts:
         for p, q in itertools.permutations(part, 2):
+            if star and part[0] not in (p, q):
+                continue
             rows = np.flatnonzero(pid == perms.rank(p))
             moved = table[rows]
             moved[:, idx] = letters[rows][:, np.array(q) - 1]
@@ -176,33 +179,77 @@ def _table_edges(n, K, idx):
 
 def test_backends_identical(knuth_like):
     # The digit-grid edges of every window (index set) against the rows of
-    # a permutation table rewritten there, and the letter-by-letter closure
-    # against csgraph over the table's edges of every window.  The c=4
-    # relation and the part of all of S_3 give index sets with two gaps and
-    # five partners to one pattern.
+    # a permutation table rewritten there to or from the part's D pattern,
+    # each window's and both-ends index set's grid components against
+    # those of every rewrite within a part there, and the letter-by-letter
+    # closure against csgraph over the table's edges of every rewrite of
+    # every window.  The c=4 relation and the part of all of S_3 give index
+    # sets with two gaps and five partners to one pattern.
     keys = ("{123,321}{132,231}", "{132,231}{213,312}", "{123,132,231}",
             "{1234,1243}{2134,2143}", "{123,132,213,231,312,321}")
     for key in keys:
         K = relation.parse_partition(key)
         tab = build_tables(K)
         for n in range(K.c, 8):
+            total = factorial(n)
             windows = [list(range(i, i + K.c)) for i in range(n - K.c + 1)]
             src, dst = _concat(_table_edges(n, K, idx) for idx in windows)
             grid = _concat(_window_edges(n, tab, idx[0]) for idx in windows)
-            assert np.array_equal(_edge_set(*grid), _edge_set(src, dst))
+            star = _concat(_table_edges(n, K, idx, star=True) for idx in windows)
+            assert np.array_equal(_edge_set(*grid), _edge_set(*star))
             # over the identity classes of S_{n-1}, a tail node is a rank
             ident = np.arange(factorial(n - 1), dtype=np.int32)
             first = _concat(kn._factor_batches(n, tab, ident, factorial(n - 1)))
-            assert np.array_equal(_edge_set(*first), _edge_set(*_table_edges(n, K, windows[0])))
+            assert np.array_equal(_edge_set(*first),
+                                  _edge_set(*_table_edges(n, K, windows[0], star=True)))
             for idx in itertools.combinations(range(n), K.c):
-                expected = _edge_set(*_table_edges(n, K, list(idx)))
-                assert np.array_equal(_edge_set(*_grid_edges(n, tab, idx)), expected)
-                if idx[0] == 0 and idx[-1] == n - 1:
+                expected = _edge_set(*_table_edges(n, K, list(idx), star=True))
+                got = _grid_edges(n, tab, idx)
+                assert np.array_equal(_edge_set(*got), expected)
+                through = idx[0] == 0 and idx[-1] == n - 1
+                if through:
                     assert np.array_equal(_edge_set(*kn.subword_edges(n, tab, idx)), expected)
+                if through or idx[-1] - idx[0] == K.c - 1:
+                    clique = _csgraph_class_ids(total, *_table_edges(n, K, list(idx)))
+                    assert np.array_equal(_csgraph_class_ids(total, *got)[0], clique[0])
             dec = engine.enumerate_classes(n, K)
-            class_id, num = _csgraph_class_ids(factorial(n), src, dst)
+            class_id, num = _csgraph_class_ids(total, src, dst)
             assert np.array_equal(dec.class_id, class_id), (key, n)
             assert dec.num_classes == num
+
+
+def _clique_tables(K):
+    """PatternTables that join each part by every pair of its patterns,
+    each pattern's partners its part's larger ids."""
+    lists = [[] for _ in range(factorial(K.c))]
+    for part in K.nontrivial_parts:
+        ids = sorted(perms.rank(p) for p in part)
+        for a, t in enumerate(ids):
+            lists[t] = ids[a + 1 :]
+    ptr = np.cumsum([0] + [len(lst) for lst in lists], dtype=np.int64)
+    idx = np.array([q for lst in lists for q in lst], dtype=np.int64)
+    return PatternTables(c=K.c, pat_onel=build_tables(K).pat_onel, partners_ptr=ptr,
+                         partners_idx=idx)
+
+
+@pytest.mark.parametrize("key", [
+    "{123,132,213}", "{123,132,213,231}", "{123,132,213,231,312}",
+    "{123,132,213,231,312,321}", "{123,231,312}{132,213,321}",
+    "{1234,1243,2134}", "{1234,1243,2134,2143}", "{1234,1324,2143,3412,4321}",
+    "{1234,1243,1324,1342,1423,1432}{2134,2143,2314}",
+])
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_star_rule_matches_clique_rule(key, mode):
+    # a star from each part's D pattern spans the classes of every pair
+    # of the part: the decompositions of S_1..S_8 against the closure of
+    # tables that join every pair
+    K = relation.parse_partition(key)
+    decs = engine.decompositions(range(1, 9), K, mode)
+    for n, (dec, step) in enumerate(zip(decs, kn.class_steps(8, _clique_tables(K), mode)), 1):
+        tail, prev, sizes, reps = step
+        assert np.array_equal(dec.class_id, tail.reshape(n, -1)[:, prev].ravel()), (key, n)
+        assert np.array_equal(dec.class_sizes, sizes) and np.array_equal(dec.rep_ranks, reps)
+    assert n == 8
 
 
 @pytest.mark.parametrize("mode", ["factor", "subword"])
