@@ -79,7 +79,7 @@ class ReplacementPartition:
         return tuple(p for part in self.nontrivial_parts for p in part)
 
     @cached_property
-    def recipes(self) -> dict:
+    def _recipes(self) -> dict:
         """The hit scan's rewrite recipes (``_mate_orders``), built on first use."""
         return _mate_orders(self)
 
@@ -246,7 +246,7 @@ def _sites(
     ``_mate_orders``.  Every site's comparisons come from one pass over
     the pairs of ``_site_table``, and each site looks its own slice up."""
     sites, left, right = _site_table(len(p), partition.c, mode)
-    recipes = partition.recipes
+    recipes = partition._recipes
     if not recipes:
         return
     k = partition.c * (partition.c - 1) // 2
