@@ -180,8 +180,8 @@ def _verify_rows(args):
     keys = oracle.relation_keys() if args.relations == "all" else tuple(
         k for k in args.relations.split(";") if k
     )
-    for key in keys:
-        K = relation.parse_partition(key)
+    for K in map(relation.parse_partition, keys):
+        key = K.text()
         ns = range(max(3, oracle.validity_floor(key)), args.n_max + 1)
         yield from _verify_pass(key, K, ns, functools.partial(oracle.expected_count, key),
                                 args.allow_large)
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="engine counts vs formulas; exit 1 on mismatch")
     p.add_argument("--relations", default="all",
-                   help="'all' or semicolon-separated canonical partition texts")
+                   help="'all' or semicolon-separated partition texts")
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--figure2-n-max", type=int, default=8)
     p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
@@ -372,7 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"resource error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except (PermclassError, ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        msg = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -29,7 +29,7 @@ local pairs read as rows of the class ids of S_{k-1}, the whole step
 within a fixed edge budget, else one first digit a batch; in subword
 mode one join slice or index set.  The class sizes and minimal ranks
 come from the step's nodes.
-``hit_mask`` and the avoider counts use the same digit grid.
+``hit_any`` and the avoider counts read hits off the same digit grid.
 
 ``class_of`` finds one class without the decomposition.  In factor mode it
 is a level-synchronous BFS over Lehmer ranks: a rewrite at window i moves
@@ -42,7 +42,9 @@ Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
 against the available RAM (and PERMCLASS_MEMORY_CAP_MB, if set), once
 before the closure and again before the step that closes S_n, over the
-classes of S_{n-1} it found; a pass checks each n it yields in turn.
+classes of S_{n-1} it found.  ``decompositions`` makes these checks
+between the closure's yields (``_limits`` and ``_check``), each n it
+yields in turn, and refuses before the step it checks is run.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -154,8 +156,8 @@ def estimate_bytes(
 ) -> int:
     """Rough peak memory of enumerate_classes, from the step that closes S_n
     over the given number of classes of S_{n-1} (1, the fewest, by
-    default; the closure checks again before that step, when the number is
-    known).
+    default; decompositions checks again before that step, when the number
+    is known).
 
     The edges come from ``kernels_numpy.factor_step_edges``: the first
     window's edges of S_n, e = sum (|part| - 1) / c! a rank (each part
@@ -187,15 +189,10 @@ def estimate_bytes(
     return 40 * nodes + factorial(n) * (n + 14) + 24 * max(edges, factorial(n - 1))
 
 
-def _check_bounds(
-    n: int, mode: Mode, partition: ReplacementPartition, allow_large: bool
-) -> Callable[[int], None] | None:
-    """Refuse n past the mode's bound, then an estimate past the memory cap
-    or the available RAM.  Past the large bound no estimate is computed.
-
-    The estimate is checked here over one class of S_{n-1}; the check is
-    returned (None if no limit applies) for the closure to repeat before
-    the step that closes S_n, over the classes of S_{n-1} it found."""
+def _limits(n: int, mode: Mode, partition: ReplacementPartition, allow_large: bool) -> list:
+    """Refuse n past the mode's bound (with no estimate past the large
+    bound), else the (bytes, what) limits its estimate must keep to: the
+    memory cap and, past the default bound, the available RAM."""
     bound = (LARGE_MAX_N if allow_large else DEFAULT_MAX_N)[mode]
     if n > bound:
         hint = ""
@@ -213,17 +210,18 @@ def _check_bounds(
             print("permclass: available memory unknown; RAM check skipped", file=sys.stderr)
         else:
             limits.append((avail, f"available memory ({avail // 10**6} MB); refusing"))
-    if not limits:
-        return None
+    return limits
 
-    def check(classes: int) -> None:
+
+def _check(n: int, mode: Mode, partition: ReplacementPartition, limits: list,
+           classes: int) -> None:
+    """Refuse the estimate of S_n over the given classes of S_{n-1} past
+    any of the limits; with none, no estimate is computed."""
+    if limits:
         est = estimate_bytes(n, mode, partition, classes)
         for limit, what in limits:
             if est > limit:
                 raise ResourceLimitError(f"estimated {est // 10**6} MB exceeds {what}")
-
-    check(1)
-    return check
 
 
 def _available_bytes() -> int | None:
@@ -286,16 +284,10 @@ def decompositions(
         return
     if ns.step != 1 or ns[0] < 1:
         raise ValueError(f"decompositions need n >= 1 in steps of 1, got {ns}")
-    first = _check_bounds(ns[0], mode, partition, allow_large)
-
-    def admit(k: int, classes: int) -> None:
-        if k in ns:
-            check = first if k == ns[0] else _check_bounds(k, mode, partition, allow_large)
-            if check is not None:
-                check(classes)
-
+    limits = _limits(ns[0], mode, partition, allow_large)
+    _check(ns[0], mode, partition, limits, 1)
     text = partition.text()
-    steps = kernels_numpy.class_steps(ns[-1], build_tables(partition), mode, admit)
+    steps = kernels_numpy.class_steps(ns[-1], build_tables(partition), mode)
     for n, (tail, prev, sizes, rep_ranks) in enumerate(steps, 1):
         if n in ns:
             for arr in (tail, prev, sizes, rep_ranks):
@@ -309,6 +301,11 @@ def decompositions(
                 class_sizes=sizes,
                 rep_ranks=rep_ranks,
             )
+        if n + 1 in ns:
+            if n + 1 > ns[0]:
+                limits = _limits(n + 1, mode, partition, allow_large)
+                _check(n + 1, mode, partition, limits, 1)
+            _check(n + 1, mode, partition, limits, len(sizes))
 
 
 # Most entries of a cached factor move table (32 MiB of int64).  A table
@@ -409,11 +406,11 @@ def count_avoiders(n: int, c: int, patterns: Iterable[Perm]) -> int:
     return kernels_numpy.count_banned_avoiders(n, c, banned_mask(c, pats))
 
 
-def hit_mask(n: int, partition: ReplacementPartition) -> np.ndarray:
-    """(n!, n-c+1) bool over ranks: entry [r, i] is True iff the factor at
-    0-based window i of rank r is a hit (lies in a nontrivial part)."""
-    c = partition.c
-    return kernels_numpy.window_hits(n, c, banned_mask(c, partition.nontrivial_patterns))
+def hit_any(n: int, partition: ReplacementPartition, windows: Iterable[int]) -> np.ndarray:
+    """(n!,) bool over ranks: True iff the factor at some 0-based window
+    in windows is a hit (lies in a nontrivial part)."""
+    mask = banned_mask(partition.c, partition.nontrivial_patterns)
+    return kernels_numpy.window_hits(n, partition.c, mask, windows)
 
 
 def count_trivial(n: int, partition: ReplacementPartition) -> int:

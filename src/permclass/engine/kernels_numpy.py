@@ -12,11 +12,12 @@ alone: loc fixes the first span letters of the last m, standardized
 letters before i and after idx[-1] keep the set of letters after them.
 So a local rule over the m!/(m-span)! values of loc gives every edge of a
 window (factor mode, span = c) or an index set (subword mode) by
-broadcasting over (pre, loc, suf); the hits and avoiders of factor mode
-read the same grid.  Subword mode only rewrites at index sets through the
-first and the last position, whose span is all k letters, so their local
-rule is S_k itself (``perm_table(k)``), built once per k, and their local
-pairs are their rank edges.  The letters of a local rule are kept
+broadcasting over (pre, loc, suf); ``window_hits`` reads the hits of
+factor windows, and so the avoiders, off the same grid.  Subword mode
+only rewrites at index sets through the first and the last position,
+whose span is all k letters, so their local rule is S_k itself
+(``perm_table(k)``), built once per k, and their local pairs are their
+rank edges.  The letters of a local rule are kept
 column-major, one contiguous int8 row per letter position: the pattern
 at an index set reads c of those rows, and a rewrite's target loc is its
 own loc plus a delta read off the letters it moves and how the other
@@ -25,10 +26,11 @@ copied or re-ranked.
 
 ``class_steps`` closes the edges of either mode one letter at a time, from
 S_1, and yields the classes of each S_k as it closes them, so a request
-for several n is one pass over the steps, up to the largest.  A rewrite
-that leaves the first letter alone acts on the rank of the other letters
-only, so each step closes the rewrites through position 0 over the
-classes of the step before.  In subword mode a rewrite that
+for several n is one pass over the steps, up to the largest; a step runs
+only when asked for, so the caller checks its bounds between yields.  A
+rewrite that leaves the first letter alone acts on the rank of the other
+letters only, so each step closes the rewrites through position 0 over
+the classes of the step before.  In subword mode a rewrite that
 leaves the last letter alone acts on the rank of the first letters only,
 so the step joins the two closures and adds only the index sets through
 both ends.  ``connected_class_ids`` closes a step's edges one batch at a
@@ -51,6 +53,7 @@ the letters of many ranks at once.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from math import factorial
@@ -140,17 +143,16 @@ def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarra
     others = [j for j in range(span) if j not in cols]
     weight = [factorial(m - 1 - j) // factorial(m - span) for j in range(span)]
     onel = tab.pat_onel - 1
-    sources = np.flatnonzero(np.diff(tab.partners_ptr)).tolist()
     pairs = {t: _pair_weights(onel[t], cols, others, weight)
-             for t in set(sources) | set(tab.partners_idx.tolist())}
+             for d, us in tab.partners for t in (d, *us)}
     pid = _pattern_ids(moved)
     a_parts, b_parts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
-    for t in sources:
+    for t, us in tab.partners:
         rows = np.flatnonzero(pid == t)
         a = rows.astype(np.int32)
         here = [x[rows] for x in moved]
         at = _interleave(here, [letters[j][rows] for j in others])
-        for q in tab.partners_idx[tab.partners_ptr[t] : tab.partners_ptr[t + 1]].tolist():
+        for q in us:
             dest = np.argsort(onel[q])[onel[t]]
             b = a + (pairs[t] - pairs[q]).astype(np.int32)[at]
             for x, j, d in zip(here, cols, dest):
@@ -207,16 +209,16 @@ _BATCH_EDGES = 1 << 17
 
 
 def class_steps(
-    n: int, tab: PatternTables, mode: str, admit: Callable[[int, int], None] | None = None
+    n: int, tab: PatternTables, mode: str
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """(tail, prev, sizes, reps) of the classes of S_1, S_2, ..., S_n in
     the given mode, ids following minimal rank, yielded as each step
     closes: one pass builds every k up to n.  Rank ``d * (k-1)! + t`` of
     S_k has class ``tail[d * C + prev[t]]``, where prev holds the class ids
     of S_{k-1} and C their number; sizes and reps give each class's size
-    and minimal rank.  ``admit``, if given, is called with k and the number
-    of classes of S_{k-1} before each step k >= 2, and may raise to refuse
-    it.  No step is kept past the next one.
+    and minimal rank.  Step k runs only when the caller asks for it, so a
+    caller may refuse it between yields.  No step is kept past the next
+    one.
 
     Rank r of S_k is ``d * (k-1)! + t``: d is its first digit and t the
     rank in S_{k-1} of its last k-1 letters, standardized.  A rewrite that
@@ -250,8 +252,6 @@ def class_steps(
     yield tail, prev, sizes, reps
     for k in range(2, n + 1):
         num = len(sizes)
-        if admit is not None:
-            admit(k, num)
         prev = tail.reshape(k - 1, -1)[:, prev].ravel()
         total = (k if mode == "factor" else 2 * k) * num
         batches = _batches(k, tab, mode, prev, num, head, last)
@@ -385,12 +385,12 @@ def factor_moves(n: int, tab: PatternTables):
     one.
     """
     c = tab.c
-    degree = np.diff(tab.partners_ptr) + np.bincount(tab.partners_idx, minlength=factorial(c))
+    degree = Counter(t for d, us in tab.partners for q in us for t in (d, q))
     windows = range(max(n - c + 1, 0))
     stride = np.array([factorial(n - i - c) for i in windows], dtype=np.int64)
     radix = np.array([factorial(n - i) // factorial(n - i - c) for i in windows], dtype=np.int64)
     offset = np.cumsum(radix) - radix
-    deltas = np.zeros((int(radix.sum()), int(degree.max(initial=0))), dtype=np.int64)
+    deltas = np.zeros((int(radix.sum()), max(degree.values(), default=0)), dtype=np.int64)
     for i in windows:
         a, b = _local_pairs(n - i, c, range(c), tab)
         src, dst = np.concatenate([a, b]), np.concatenate([b, a])
@@ -461,30 +461,22 @@ def unrank(ranks: np.ndarray, n: int) -> np.ndarray:
     return letters
 
 
-def window_hits(n: int, c: int, mask: np.ndarray) -> np.ndarray:
-    """(n!, n-c+1) bool: hits[r, i] iff the 0-based window i of rank r
-    standardizes to a pattern id marked in mask (broadcast over the digit
-    grid; the result is a transposed, column-major view)."""
+def window_hits(n: int, c: int, mask: np.ndarray, windows: Iterable[int]) -> np.ndarray:
+    """(n!,) bool: True at the ranks of S_n whose 0-based window i, for
+    some i in windows, standardizes to a pattern id marked in mask (each
+    window broadcast over the digit grid)."""
     total = factorial(n)
-    hits = np.empty((max(n - c + 1, 0), total), dtype=np.bool_)
-    for i in range(n - c + 1):
+    hits = np.zeros(total, dtype=np.bool_)
+    for i in windows:
         m = n - i
-        grid = hits[i].reshape(total // factorial(m), -1, factorial(m - c))
-        grid[...] = mask[window_pattern_ids(m, c)][:, None]
-    return hits.T
+        grid = hits.reshape(total // factorial(m), -1, factorial(m - c))
+        grid |= mask[window_pattern_ids(m, c)][:, None]
+    return hits
 
 
 def count_banned_avoiders(n: int, c: int, banned: np.ndarray) -> int:
-    """The ranks of S_n with no window whose pattern id is marked in
-    banned: one n! bool array of survivors, cleared a window at a time over
-    the digit grid, as ``window_hits`` marks them."""
-    total = factorial(n)
-    alive = np.ones(total, dtype=np.bool_)
-    for i in range(n - c + 1):
-        m = n - i
-        grid = alive.reshape(total // factorial(m), -1, factorial(m - c))
-        grid &= ~banned[window_pattern_ids(m, c)][:, None]
-    return int(np.count_nonzero(alive))
+    """The ranks of S_n with no window whose pattern id is marked in banned."""
+    return factorial(n) - int(np.count_nonzero(window_hits(n, c, banned, range(n - c + 1))))
 
 
 def connected_class_ids(total: int, batches: Iterable):

@@ -2,9 +2,9 @@
 
 Patterns are indexed by their Lehmer rank within S_c (lexicographic
 order).  Each nontrivial part is joined by a star from its least pattern,
-the part's D pattern: that pattern's partners are the part's other
-patterns, and no other pattern has partners.  So a part of size s gives
-s - 1 edges a site, not the C(s, 2) of every pair.
+the part's D pattern: ``partners`` holds one (D id, U ids) pair a part,
+the U ids the part's other patterns, in increasing D id.  So a part of
+size s gives s - 1 edges a site, not the C(s, 2) of every pair.
 
 The star spans the same components as every pair.  At one site the
 rewrites within a part rearrange the same letters, so they join the
@@ -29,26 +29,16 @@ from ..relation import ReplacementPartition
 @dataclass(frozen=True)
 class PatternTables:
     c: int
-    pat_onel: np.ndarray       # (c!, c) int64 one-line letters
-    partners_ptr: np.ndarray   # (c!+1,) int64 CSR offsets
-    partners_idx: np.ndarray   # flat partner pattern ids (id > own id only)
+    pat_onel: np.ndarray  # (c!, c) int64 one-line letters
+    partners: tuple[tuple[int, tuple[int, ...]], ...]  # (D id, U ids) a part, by D id
 
 
 def build_tables(partition: ReplacementPartition) -> PatternTables:
     c = partition.c
-    nc = factorial(c)
-    pat_onel = np.array(list(perms.all_perms(c)), dtype=np.int64).reshape(nc, c)
-    partner_lists: list[list[int]] = [[] for _ in range(nc)]
-    for part in partition.nontrivial_parts:
-        ids = sorted(perms.rank(p) for p in part)
-        partner_lists[ids[0]] = ids[1:]
-    ptr = np.zeros(nc + 1, dtype=np.int64)
-    for t in range(nc):
-        ptr[t + 1] = ptr[t] + len(partner_lists[t])
-    idx = np.fromiter(
-        (q for lst in partner_lists for q in lst), dtype=np.int64, count=int(ptr[-1])
-    )
-    return PatternTables(c=c, pat_onel=pat_onel, partners_ptr=ptr, partners_idx=idx)
+    pat_onel = np.array(list(perms.all_perms(c)), dtype=np.int64).reshape(factorial(c), c)
+    ids = (sorted(perms.rank(p) for p in part) for part in partition.nontrivial_parts)
+    partners = tuple(sorted((d, tuple(us)) for d, *us in ids))
+    return PatternTables(c=c, pat_onel=pat_onel, partners=partners)
 
 
 def banned_mask(c: int, patterns) -> np.ndarray:

@@ -181,17 +181,14 @@ def adjacent_equals_subword(
 def _sided_hits(n: int, partition: ReplacementPartition):
     """Per-rank bool masks (lefted, righted, middled) over S_n.
 
-    Lefted: a hit at a 0-based window i >= 1; righted: i <= n-c-1;
-    middled: both.  Equal to relation.is_lefted / is_righted / is_middled
-    applied to every permutation, from one engine.hit_mask.
+    Lefted: a hit at a 0-based window 1 <= i <= n-c; righted: at
+    0 <= i <= n-c-1; middled: at 1 <= i <= n-c-1.  Equal to
+    relation.is_lefted / is_righted / is_middled applied to every
+    permutation, each from engine.hit_any over its windows.
     """
-    hits = engine.hit_mask(n, partition)
     last = n - partition.c
-    return (
-        hits[:, 1:].any(axis=1),
-        hits[:, :last].any(axis=1),
-        hits[:, 1:last].any(axis=1),
-    )
+    return tuple(engine.hit_any(n, partition, windows)
+                 for windows in (range(1, last + 1), range(last), range(1, last)))
 
 
 def _first_members(dec: engine.ClassDecomposition, mask: np.ndarray) -> dict[int, Perm]:
@@ -206,8 +203,7 @@ def stooge_sets(n: int, partition: ReplacementPartition) -> StoogeSets:
     """L_n / R_n / I_n: the smallest lefted/righted/middled member of each
     class that has one, in lexicographic order.
 
-    The lefted/righted/middled masks come from one hit mask over S_n
-    (engine.hit_mask).
+    The lefted/righted/middled masks come from engine.hit_any over S_n.
     """
     if n < partition.c + 1:
         raise ValueError(f"stooge sets need n >= c+1 = {partition.c + 1}")

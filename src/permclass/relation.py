@@ -133,8 +133,8 @@ def make_partition(
         raise PartitionParseError(f"patterns have length {lens.pop()}, expected {c}")
     if parts and c > MAX_PATTERN_LEN and not allow_large_c:
         raise PartitionParseError(
-            f"pattern length {c} exceeds the default limit {MAX_PATTERN_LEN}; "
-            "pass allow_large_c=True to override"
+            f"pattern length {c} exceeds the limit {MAX_PATTERN_LEN}; only the library"
+            " argument allow_large_c=True of make_partition/parse_partition lifts it"
         )
     return ReplacementPartition(c=c, nontrivial_parts=tuple(sorted(parts)))
 

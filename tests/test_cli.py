@@ -217,6 +217,28 @@ def test_verify_ok(capsys):
     assert "all rows verified" in out
 
 
+def test_verify_reads_relation_keys_in_any_order(capsys):
+    # a key is looked up by its canonical text, and an unregistered key's
+    # message is printed as it is, with no repr quotes around it
+    code, out, _ = run(capsys, "verify", "--relations", "{312,213}{132,123}", "--n-max", "5",
+                       "--figure2-n-max", "2")
+    assert code == 0 and out.splitlines() == [
+        "OK       {123,132}{213,312}       n=3 expected=4 engine=4",
+        "OK       {123,132}{213,312}       n=4 expected=10 engine=10",
+        "OK       {123,132}{213,312}       n=5 expected=26 engine=26",
+        "all rows verified",
+    ]
+    code, out, err = run(capsys, "verify", "--relations", "{132,123}", "--n-max", "5")
+    assert (code, out, err) == (2, "", "error: unknown relation key '{123,132}'\n")
+
+
+def test_long_patterns_refused_with_the_limit(capsys):
+    code, out, err = run(capsys, "count", "--partition", "{1234567,2134567}", "--n", "8")
+    assert code == 2 and out == ""
+    assert err == ("error: pattern length 7 exceeds the limit 6; only the library argument"
+                   " allow_large_c=True of make_partition/parse_partition lifts it\n")
+
+
 def test_verify_n11_allow_large(capsys):
     # two registered formulas past the default bound, one pass each
     keys = ("{123,231}{132,213}", "{132,312}{213,321}")
@@ -235,9 +257,9 @@ def _counted_passes(monkeypatch):
     passes = []
     class_steps = kn.class_steps
 
-    def counted(n, tab, mode, admit=None):
+    def counted(n, tab, mode):
         passes.append([])
-        for k, step in enumerate(class_steps(n, tab, mode, admit), 1):
+        for k, step in enumerate(class_steps(n, tab, mode), 1):
             passes[-1].append(k)
             yield step
 

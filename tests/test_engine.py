@@ -221,15 +221,12 @@ def test_backends_identical(knuth_like):
 def _clique_tables(K):
     """PatternTables that join each part by every pair of its patterns,
     each pattern's partners its part's larger ids."""
-    lists = [[] for _ in range(factorial(K.c))]
+    partners = []
     for part in K.nontrivial_parts:
         ids = sorted(perms.rank(p) for p in part)
-        for a, t in enumerate(ids):
-            lists[t] = ids[a + 1 :]
-    ptr = np.cumsum([0] + [len(lst) for lst in lists], dtype=np.int64)
-    idx = np.array([q for lst in lists for q in lst], dtype=np.int64)
-    return PatternTables(c=K.c, pat_onel=build_tables(K).pat_onel, partners_ptr=ptr,
-                         partners_idx=idx)
+        partners += [(t, tuple(ids[a + 1 :])) for a, t in enumerate(ids[:-1])]
+    return PatternTables(c=K.c, pat_onel=build_tables(K).pat_onel,
+                         partners=tuple(sorted(partners)))
 
 
 @pytest.mark.parametrize("key", [
@@ -833,8 +830,9 @@ def test_digit_rule_lemma_to_n20(data):
     assert perms.rank(target) == pre * factorial(m) + int(_local_index(rule, m)[0]) * stride + suf
 
 
-def test_hit_mask_matches_scan():
-    # per-permutation scan: the pattern id of every window of every p in S_n
+def test_hit_any_matches_scan():
+    # per-permutation scan: the pattern id of every window of every p in S_n,
+    # against hit_any over each window on its own
     scans = {}
     for key in oracle.relation_keys():
         K = relation.parse_partition(key)
@@ -846,7 +844,9 @@ def test_hit_mask_matches_scan():
                     for p in perms.all_perms(n)
                 ])
             expected = np.isin(scans[n, K.c], hit)
-            assert np.array_equal(engine.hit_mask(n, K), expected), (key, n)
+            for i in range(n - K.c + 1):
+                got = engine.hit_any(n, K, range(i, i + 1))
+                assert np.array_equal(got, expected[:, i]), (key, n, i)
 
 
 @pytest.mark.parametrize("mode", ["factor", "subword"])

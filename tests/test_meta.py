@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from permclass import engine, invariants as inv, meta, perms, relation
+from permclass import engine, invariants as inv, meta, oracle, perms, relation
 
 
 def test_count_u_avoiders():
@@ -195,8 +195,6 @@ def _scan_stooge(n, K):
 
 
 def test_stooge_sets_match_scan():
-    from permclass import oracle
-
     for key in oracle.relation_keys():
         K = relation.parse_partition(key)
         for n in range(K.c + 1, 8):
@@ -204,3 +202,16 @@ def test_stooge_sets_match_scan():
             got = meta.stooge_sets(n, K)
             assert (got.L, got.R, got.I) == (sets["L"], sets["R"], sets["I"]), (key, n)
             assert meta.middled_reachability(n, K) == reachable, (key, n)
+
+
+def test_sided_hits_match_predicates():
+    # the three window ranges of _sided_hits against the per-permutation
+    # predicates, n = 1..7, including n <= c, where the ranges are empty
+    for key in (*oracle.relation_keys(), oracle.FIGURE2_KEY):
+        K = relation.parse_partition(key)
+        for n in range(1, 8):
+            got = meta._sided_hits(n, K)
+            for mask, pred in zip(got, (relation.is_lefted, relation.is_righted,
+                                        relation.is_middled)):
+                want = [pred(p, K) for p in perms.all_perms(n)]
+                assert mask.tolist() == want, (key, n, pred.__name__)
