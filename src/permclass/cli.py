@@ -151,20 +151,14 @@ def _cmd_invariant(args) -> int:
 def _cmd_table(args) -> int:
     if args.list_relations:
         lines = [
-            f"{row.key:24s} valid n>={row.floor}  {row.formula_text}"
-            for row in (oracle.ROWS_BY_KEY[k] for k in oracle.relation_keys())
+            f"{row.key:24s} valid n>={row.floor}  {row.formula_text}" if row.last is None
+            else f"{row.key:24s} table {row.floor}<=n<={row.last}  {row.formula_text}"
+            for row in oracle.ROWS_BY_KEY.values()
         ]
-        lines.append(f"{oracle.FIGURE2_KEY:24s} table 3<=n<=12  (computational reference)")
         _emit("\n".join(lines) + "\n", args.output)
         return EXIT_OK
-    rows = []
-    if args.figure == 1:
-        for key in oracle.relation_keys():
-            for n, v in oracle.sequence_table(key, args.n_max).items():
-                rows.append((key, n, v))
-    else:
-        for n, v in oracle.sequence_table(oracle.FIGURE2_KEY, min(args.n_max, 12)).items():
-            rows.append((oracle.FIGURE2_KEY, n, v))
+    keys = oracle.relation_keys() if args.figure == 1 else (oracle.FIGURE2_KEY,)
+    rows = [(key, n, v) for key in keys for n, v in oracle.sequence_table(key, args.n_max).items()]
     if not rows:
         raise PermclassError(f"table --n-max {args.n_max} gives no rows for figure {args.figure}")
     if args.format == "json":
@@ -175,28 +169,25 @@ def _cmd_table(args) -> int:
 
 
 def _verify_rows(args):
-    """(key, n, expected, got) for each row verify checks: the registered
-    relations' formulas, then the Figure 2 reference."""
+    """(key, n, expected, got) for each row verify checks: each listed
+    relation up to --n-max, then the Figure 2 reference up to
+    --figure2-n-max."""
     keys = oracle.relation_keys() if args.relations == "all" else tuple(
         k for k in args.relations.split(";") if k
     )
-    for K in map(relation.parse_partition, keys):
+    for key, n_max in [(k, args.n_max) for k in keys] + [(oracle.FIGURE2_KEY, args.figure2_n_max)]:
+        K = relation.parse_partition(key)
         key = K.text()
-        ns = range(max(3, oracle.validity_floor(key)), args.n_max + 1)
-        yield from _verify_pass(key, K, ns, functools.partial(oracle.expected_count, key),
-                                args.allow_large)
-    K2 = relation.parse_partition(oracle.FIGURE2_KEY)
-    ns = range(3, args.figure2_n_max + 1)
-    yield from _verify_pass(oracle.FIGURE2_KEY, K2, ns, oracle.figure2_reference,
-                            args.allow_large)
+        ns = range(max(3, oracle.validity_floor(key)), n_max + 1)
+        yield from _verify_pass(key, K, ns, args.allow_large)
 
 
-def _verify_pass(key, K, ns, expected, allow_large):
+def _verify_pass(key, K, ns, allow_large):
     """The rows of one relation from one pass of the closure up to its
     last n; each row's expected count is read before its n is closed."""
     decs = engine.decompositions(ns, K, allow_large=allow_large)
     for n in ns:
-        want = expected(n)
+        want = oracle.expected_count(key, n)
         yield key, n, want, next(decs).num_classes
 
 

@@ -520,9 +520,8 @@ def special_families(n: int) -> dict[str, object]:
 # Canonical forms
 
 
-_BUSHY_K = relation.make_partition([["123", "132"], ["213", "321"]])
-_ROOT_K = relation.make_partition([["123", "132"], ["213", "312"]])
-_V_K = relation.make_partition([["123", "132"], ["213", "231"]])
+_BUSHY_K = relation.parse_partition(BUSHY_RELATION)
+_V_K = relation.parse_partition(V_PERM_RELATION)
 
 
 def is_bushy_tailed(p: Sequence[int]) -> bool:

@@ -178,17 +178,19 @@ def adjacent_equals_subword(
     )
 
 
-def _sided_hits(n: int, partition: ReplacementPartition):
-    """Per-rank bool masks (lefted, righted, middled) over S_n.
-
-    Lefted: a hit at a 0-based window 1 <= i <= n-c; righted: at
-    0 <= i <= n-c-1; middled: at 1 <= i <= n-c-1.  Equal to
-    relation.is_lefted / is_righted / is_middled applied to every
-    permutation, each from engine.hit_any over its windows.
-    """
+def _side_windows(n: int, partition: ReplacementPartition) -> tuple[range, range, range]:
+    """The 0-based windows i of a lefted (1 <= i <= n-c), righted
+    (0 <= i <= n-c-1) and middled (1 <= i <= n-c-1) hit in S_n."""
     last = n - partition.c
-    return tuple(engine.hit_any(n, partition, windows)
-                 for windows in (range(1, last + 1), range(last), range(1, last)))
+    return range(1, last + 1), range(last), range(1, last)
+
+
+def _sided_hits(n: int, partition: ReplacementPartition):
+    """Per-rank bool masks (lefted, righted, middled) over S_n, each from
+    engine.hit_any over its windows.  Equal to relation.is_lefted /
+    is_righted / is_middled applied to every permutation.
+    """
+    return tuple(engine.hit_any(n, partition, w) for w in _side_windows(n, partition))
 
 
 def _first_members(dec: engine.ClassDecomposition, mask: np.ndarray) -> dict[int, Perm]:
@@ -220,9 +222,9 @@ class _SideNormalizer:
 
     def __init__(self, n: int, partition: ReplacementPartition):
         self.dec = engine.enumerate_classes(n - 1, partition)
-        lefted, righted, _ = _sided_hits(n - 1, partition)
-        self.left_of = _first_members(self.dec, lefted)
-        self.right_of = _first_members(self.dec, righted)
+        lefted, righted, _ = _side_windows(n - 1, partition)
+        self.left_of = _first_members(self.dec, engine.hit_any(n - 1, partition, lefted))
+        self.right_of = _first_members(self.dec, engine.hit_any(n - 1, partition, righted))
 
     def _target(self, word: Sequence[int], table: dict[int, Perm]) -> tuple[int, ...]:
         cid = self.dec.class_of_perm(perms.standardize(word))
@@ -267,6 +269,6 @@ def stooge_normalize(
 def middled_reachability(n: int, partition: ReplacementPartition) -> bool:
     """Every nontrivial class contains a middled permutation (engine check)."""
     dec = engine.enumerate_classes(n, partition)
-    middled = _sided_hits(n, partition)[2]
+    middled = engine.hit_any(n, partition, _side_windows(n, partition)[2])
     has_middled = np.bincount(dec.class_id[middled], minlength=dec.num_classes) > 0
     return bool(has_middled[dec.class_sizes > 1].all())

@@ -1,9 +1,9 @@
 """Closed-form and recursive class-count formulas, plus reference tables.
 
-Every registered relation maps its canonical partition text to a formula
-for the number of classes in S_n, with an enforced validity floor:
-queries below the floor raise RangeError instead of extrapolating.  All
-arithmetic is exact integers.
+Every registered relation, the Figure 2 table among them, maps its
+canonical partition text to a formula for the number of classes in S_n,
+with an enforced validity floor: queries below the floor raise RangeError
+instead of extrapolating.  All arithmetic is exact integers.
 
 Recursion bases that the source material leaves to computation are fixed
 here as constants and are cross-checked against the enumeration engine
@@ -207,12 +207,14 @@ def figure2_reference(n: int) -> int:
 
 @dataclass(frozen=True)
 class RelationRow:
-    """One registered relation: formula, validity floor, display text."""
+    """One registered reference: formula, validity floor, display text, and
+    the last n of a computed table (None for a closed form)."""
 
     key: str
     formula: Callable[[int], int]
     floor: int
     formula_text: str
+    last: int | None = None
 
 
 # Validity floors follow the stated per-row ranges where given; rows whose
@@ -268,25 +270,30 @@ _ROWS: tuple[RelationRow, ...] = (
     RelationRow("{123,231}{213,312}", compact_class_count, 3, "sum_k g(n+1,k)+n-2"),
 )
 
-ROWS_BY_KEY = {row.key: row for row in _ROWS}
+# The formula rows, then the Figure 2 table.
+ROWS_BY_KEY = {row.key: row for row in (
+    *_ROWS, RelationRow(FIGURE2_KEY, figure2_reference, 3, "(computational reference)", 12),
+)}
 
 
 def relation_keys() -> tuple[str, ...]:
     return tuple(row.key for row in _ROWS)
 
 
-def validity_floor(key: str) -> int:
+def _row(key: str) -> RelationRow:
     row = ROWS_BY_KEY.get(key)
     if row is None:
         raise KeyError(f"unknown relation key {key!r}")
-    return row.floor
+    return row
+
+
+def validity_floor(key: str) -> int:
+    return _row(key).floor
 
 
 def expected_count(key: str, n: int) -> int:
     """Class count in S_n for a registered relation, exact."""
-    row = ROWS_BY_KEY.get(key)
-    if row is None:
-        raise KeyError(f"unknown relation key {key!r}")
+    row = _row(key)
     if n < row.floor:
         raise RangeError(
             f"{key} formula is only valid for n >= {row.floor} (asked for n={n})"
@@ -312,10 +319,8 @@ def identity_class_formula(key: str, n: int) -> int:
 
 
 def sequence_table(key: str, n_max: int, n_min: int | None = None) -> dict[int, int]:
-    """values of a registered formula over [max(floor, n_min), n_max]."""
-    if key == FIGURE2_KEY:
-        lo = n_min if n_min is not None else 3
-        return {n: figure2_reference(n) for n in range(lo, n_max + 1) if n in _FIGURE2}
-    row = ROWS_BY_KEY[key]
+    """values of a registered formula over [max(floor, n_min), min(n_max, last)]."""
+    row = _row(key)
     lo = max(row.floor, n_min) if n_min is not None else row.floor
-    return {n: row.formula(n) for n in range(lo, n_max + 1)}
+    hi = n_max if row.last is None else min(n_max, row.last)
+    return {n: row.formula(n) for n in range(lo, hi + 1)}

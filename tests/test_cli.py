@@ -148,9 +148,25 @@ def test_orbit(capsys):
 
 
 def test_table_list_relations(capsys):
+    # the 20 formula rows, then the Figure 2 table, in registry order
     code, out, _ = run(capsys, "table", "--list-relations")
     assert code == 0
-    assert len(out.strip().splitlines()) == 21  # 20 formula rows + reference table
+    assert [line.split()[0] for line in out.splitlines()] == list(oracle.ROWS_BY_KEY)
+    assert len(oracle.ROWS_BY_KEY) == 21
+
+
+def test_verify_accepts_every_listed_key(capsys):
+    # a key that table --list-relations prints, Figure 2's among them, is
+    # checked up to --n-max like any other
+    _, listed, _ = run(capsys, "table", "--list-relations")
+    for key in (line.split()[0] for line in listed.splitlines()):
+        code, out, err = run(capsys, "verify", "--relations", key, "--n-max", "5",
+                             "--figure2-n-max", "3")
+        *rows, last = out.splitlines()
+        assert (code, err, last) == (0, "", "all rows verified"), key
+        ns = range(max(3, oracle.validity_floor(key)), 6)
+        assert [tuple(row.split()[1:3]) for row in rows] == (
+            [(key, f"n={n}") for n in ns] + [(oracle.FIGURE2_KEY, "n=3")]), key
 
 
 def test_table_figure2(capsys):
@@ -476,7 +492,7 @@ _QUERY = st.one_of(st.tuples(st.none(), _PERM_TEXT),
                    st.tuples(st.integers(-2, 64), st.one_of(_perm_text(20), _PERM_TEXT)))
 
 
-_KEYS = st.sampled_from((*oracle.relation_keys(), oracle.FIGURE2_KEY))
+_KEYS = st.sampled_from(tuple(oracle.ROWS_BY_KEY))
 
 
 @st.composite

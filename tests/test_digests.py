@@ -26,18 +26,17 @@ from permclass.engine.tables import build_tables
 
 DIGESTS = pathlib.Path(__file__).with_name("class_digests.json")
 ARRAYS = ("class_id", "rep_ranks", "class_sizes")
-FIGURE2 = "{132,231}{213,312}"
 
 
 def cases() -> list[tuple[str, str, list[int]]]:
     """(mode, partition, ns): every registered row and Figure 2, factor
     mode to n=9 and subword mode to n=8, subword n=9 for one relation, and
     factor n=10 for Figure 2 and one relation."""
-    keys = [*oracle.relation_keys(), FIGURE2]
+    keys = [*oracle.ROWS_BY_KEY]
     out = [("factor", key, list(range(1, 10))) for key in keys]
     out += [("subword", key, list(range(1, 9))) for key in keys]
     out.append(("subword", "{123,132,213,231}", [9]))
-    out += [("factor", key, [10]) for key in (FIGURE2, "{123,132,213,231}")]
+    out += [("factor", key, [10]) for key in (oracle.FIGURE2_KEY, "{123,132,213,231}")]
     return out
 
 
@@ -75,7 +74,7 @@ def test_factor_digests_hold_at_either_batch_budget(monkeypatch, budget):
     # whole step in one batch; at n <= 9 the default closes one batch a
     # step, so only these extremes split it there (and join it at n=10).
     monkeypatch.setattr(kn, "_BATCH_EDGES", budget)
-    tab = build_tables(relation.parse_partition(FIGURE2))
+    tab = build_tables(relation.parse_partition(oracle.FIGURE2_KEY))
     # a local pair (a, b) of the first window of S_8 has first digit a // (7 * 6)
     firsts = {int(a // 42) for a in kn._local_pairs(8, 3, [0, 1, 2], tab)[0]}
     batches = list(kn._factor_batches(8, tab, np.zeros(factorial(7), dtype=np.int32), 1))

@@ -207,7 +207,7 @@ def test_stooge_sets_match_scan():
 def test_sided_hits_match_predicates():
     # the three window ranges of _sided_hits against the per-permutation
     # predicates, n = 1..7, including n <= c, where the ranges are empty
-    for key in (*oracle.relation_keys(), oracle.FIGURE2_KEY):
+    for key in oracle.ROWS_BY_KEY:
         K = relation.parse_partition(key)
         for n in range(1, 8):
             got = meta._sided_hits(n, K)
@@ -215,3 +215,22 @@ def test_sided_hits_match_predicates():
                                         relation.is_middled)):
                 want = [pred(p, K) for p in perms.all_perms(n)]
                 assert mask.tolist() == want, (key, n, pred.__name__)
+
+
+def test_each_caller_builds_only_the_masks_it_reads(monkeypatch):
+    # one engine.hit_any pass for each lefted/righted/middled mask read
+    calls = []
+    hit_any = engine.hit_any
+
+    def counted(n, partition, windows):
+        calls.append(windows)
+        return hit_any(n, partition, windows)
+
+    monkeypatch.setattr(engine, "hit_any", counted)
+    K = relation.parse_partition("{123,132}{213,231}")
+    for build, want in ((lambda: meta.middled_reachability(6, K), 1),
+                        (lambda: meta._SideNormalizer(6, K), 2),
+                        (lambda: meta.stooge_sets(6, K), 3)):
+        calls.clear()
+        build()
+        assert len(calls) == want, calls

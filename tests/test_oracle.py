@@ -119,6 +119,14 @@ def test_relation_registry():
     assert len(set(keys)) == 20
     assert oracle.validity_floor("{123,132,231}") == 3
     assert oracle.validity_floor("{123,231}{213,321}") == 6
+    # the Figure 2 table is the last row, after the 20 formulas
+    assert list(oracle.ROWS_BY_KEY) == [*keys, oracle.FIGURE2_KEY]
+    assert oracle.validity_floor(oracle.FIGURE2_KEY) == 3
+    assert oracle.expected_count(oracle.FIGURE2_KEY, 12) == 224648
+    with pytest.raises(RangeError):
+        oracle.expected_count(oracle.FIGURE2_KEY, 13)
+    with pytest.raises(KeyError):
+        oracle.validity_floor("{123,132}")
 
 
 def test_class_size_product():
@@ -186,6 +194,7 @@ def test_sequence_table():
     assert t == {3: 4, 4: 8, 5: 16, 6: 32}
     t2 = oracle.sequence_table(oracle.FIGURE2_KEY, 5)
     assert t2 == {3: 4, 4: 10, 5: 26}
+    assert max(oracle.sequence_table(oracle.FIGURE2_KEY, 20)) == 12
 
 
 def test_exactness_no_floats():

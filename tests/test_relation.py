@@ -200,7 +200,7 @@ def test_lift_partition_same_equivalence_at_n5_n6():
 # perms.standardize, looked up in a pattern -> part dict, and a rewrite that
 # places the sorted letters by the target pattern.
 
-_SCAN_KEYS = (*oracle.relation_keys(), oracle.FIGURE2_KEY, "{12,21}",
+_SCAN_KEYS = (*oracle.ROWS_BY_KEY, "{12,21}",
               "{1234,1243}{2134,2143}", "{1234,4321}")
 
 
