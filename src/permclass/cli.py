@@ -171,15 +171,21 @@ def _cmd_table(args) -> int:
 def _verify_rows(args):
     """(key, n, expected, got) for each row verify checks: each listed
     relation up to --n-max, then the Figure 2 reference up to
-    --figure2-n-max."""
+    --figure2-n-max.  A relation listed more than once (in any spelling),
+    the Figure 2 key among them, is closed in one pass, at its first
+    place, up to the largest n asked of it."""
     keys = oracle.relation_keys() if args.relations == "all" else tuple(
         k for k in args.relations.split(";") if k
     )
-    for key, n_max in [(k, args.n_max) for k in keys] + [(oracle.FIGURE2_KEY, args.figure2_n_max)]:
-        K = relation.parse_partition(key)
-        key = K.text()
-        ns = range(max(3, oracle.validity_floor(key)), n_max + 1)
-        yield from _verify_pass(key, K, ns, args.allow_large)
+    if not keys:
+        raise PermclassError(f"verify --relations {args.relations!r} names no relation")
+    tops = {}
+    for key, top in [(k, args.n_max) for k in keys] + [(oracle.FIGURE2_KEY, args.figure2_n_max)]:
+        key = relation.parse_partition(key).text()
+        tops[key] = max(top, tops.get(key, top))
+    for key, top in tops.items():
+        ns = range(max(3, oracle.validity_floor(key)), top + 1)
+        yield from _verify_pass(key, relation.parse_partition(key), ns, args.allow_large)
 
 
 def _verify_pass(key, K, ns, allow_large):
@@ -286,10 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the identity-class size in CSV output")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("classes", help="dump representatives or one BFS class")
+    p = sub.add_parser("classes", help="dump representatives or the members of one class")
     _add_common(p, with_n=False)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--perm", default=None, help="dump the BFS class of this permutation")
+    p.add_argument("--perm", default=None,
+                   help="dump the class of this permutation, one member a line")
     p.add_argument("--max-class-size", type=int, default=None)
     p.set_defaults(func=_cmd_classes)
 

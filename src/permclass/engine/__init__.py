@@ -31,12 +31,16 @@ mode one join slice or index set.  The class sizes and minimal ranks
 come from the step's nodes.
 ``hit_any`` and the avoider counts read hits off the same digit grid.
 
-``class_of`` finds one class without the decomposition.  In factor mode it
-is a level-synchronous BFS over Lehmer ranks: a rewrite at window i moves
-a rank by a delta read off the window's digits alone, so one move table
-per (partition, n) (kernels_numpy.factor_moves) serves every level, which
-gathers the moves of its whole frontier at once.  Subword mode keeps a BFS
-over the rewrite targets of relation.rewrites.
+``class_of`` reads one class off the decomposition of S_n within the
+default bound: S_n is closed once per (partition, n, mode) and kept in a
+small cache, and the members come off the tail and the ids of S_{n-1} one
+first digit at a time (``ClassDecomposition.member_ranks``), with no n!
+array.  Past the bound it finds the class without the decomposition.  In
+factor mode that is a level-synchronous BFS over Lehmer ranks: a rewrite
+at window i moves a rank by a delta read off the window's digits alone,
+so one move table per (partition, n) (kernels_numpy.factor_moves) serves
+every level, which gathers the moves of its whole frontier at once.
+Subword mode keeps a BFS over the rewrite targets of relation.rewrites.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
@@ -110,9 +114,19 @@ class ClassDecomposition:
         first, t = divmod(perms.rank(p), len(self.prev))
         return int(self.tail[first * (len(self.tail) // self.n) + self.prev[t]])
 
+    def member_ranks(self, cid: int) -> np.ndarray:
+        """The sorted int64 ranks of class cid, read one first digit d at a
+        time: rank ``d * (n-1)! + t`` is a member iff tail maps the class
+        prev[t] of block d to cid.  Only the digits whose block meets cid
+        read prev, and class_id is not built."""
+        block = len(self.prev)
+        hit = self.tail.reshape(self.n, -1) == cid
+        digits = np.flatnonzero(hit.any(axis=1))
+        flat = np.flatnonzero(hit[digits][:, self.prev])
+        return digits[flat // block] * block + flat % block
+
     def members(self, cid: int) -> list[Perm]:
-        ranks = np.nonzero(self.class_id == cid)[0]
-        return [perms.unrank(int(r), self.n) for r in ranks]
+        return [tuple(p) for p in kernels_numpy.unrank(self.member_ranks(cid), self.n).tolist()]
 
     def sizes_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(int(s) for s in self.class_sizes))
@@ -329,6 +343,11 @@ def _factor_moves(partition: ReplacementPartition, n: int):
     return moves
 
 
+@lru_cache(maxsize=8)
+def _decomposition(partition: ReplacementPartition, n: int, mode: Mode) -> ClassDecomposition:
+    return enumerate_classes(n, partition, mode)
+
+
 def class_of(
     p: Sequence[int],
     partition: ReplacementPartition,
@@ -338,14 +357,19 @@ def class_of(
     """The class of p, as the sorted int64 Lehmer ranks of its members
     (so in lexicographic order; ``len`` counts them).
 
-    Factor mode runs a level-synchronous BFS over ranks
+    For 1 <= n <= DEFAULT_MAX_N[mode] the class is read off the
+    decomposition of S_n (ClassDecomposition.member_ranks), which
+    enumerate_classes builds, with its bound and PERMCLASS_MEMORY_CAP_MB
+    checks, once per (partition, n, mode); the last few are cached.  Past
+    the bound, factor mode runs a level-synchronous BFS over ranks
     (kernels_numpy.class_ranks) on the window moves of
-    kernels_numpy.factor_moves, built once per (partition, n).  Subword
+    kernels_numpy.factor_moves, built once per (partition, n); subword
     mode, and factor mode where that table would pass
     _MOVE_TABLE_ENTRIES, run a BFS over the target tuples of
-    relation.rewrites.  No n!-sized array is allocated.  More than
+    relation.rewrites.  Neither path builds the n! class ids.  More than
     ``max_size`` members (default DEFAULT_CLASS_CAP) raise
-    ResourceLimitError; a max_size below 1 raises ValueError.
+    ResourceLimitError, within the bound before any member is listed; a
+    max_size below 1 raises ValueError.
     """
     start = perms.as_perm(p)
     cap = max_size if max_size is not None else DEFAULT_CLASS_CAP
@@ -357,6 +381,11 @@ def class_of(
             raise ResourceLimitError(f"class of {perms.format_perm(start)} exceeds cap {cap}")
 
     n = len(start)
+    if 1 <= n <= DEFAULT_MAX_N.get(mode, 0):
+        dec = _decomposition(partition, n, mode)
+        cid = dec.class_of_perm(start)
+        admit(int(dec.class_sizes[cid]))
+        return dec.member_ranks(cid)
     if mode == "factor" and _move_table_entries(n, partition) <= _MOVE_TABLE_ENTRIES:
         return kernels_numpy.class_ranks(perms.rank(start), _factor_moves(partition, n), admit)
     seen = {start}

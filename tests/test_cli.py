@@ -157,7 +157,7 @@ def test_table_list_relations(capsys):
 
 def test_verify_accepts_every_listed_key(capsys):
     # a key that table --list-relations prints, Figure 2's among them, is
-    # checked up to --n-max like any other
+    # checked up to --n-max like any other; Figure 2's rows come once
     _, listed, _ = run(capsys, "table", "--list-relations")
     for key in (line.split()[0] for line in listed.splitlines()):
         code, out, err = run(capsys, "verify", "--relations", key, "--n-max", "5",
@@ -165,8 +165,9 @@ def test_verify_accepts_every_listed_key(capsys):
         *rows, last = out.splitlines()
         assert (code, err, last) == (0, "", "all rows verified"), key
         ns = range(max(3, oracle.validity_floor(key)), 6)
+        figure2 = [] if key == oracle.FIGURE2_KEY else [(oracle.FIGURE2_KEY, "n=3")]
         assert [tuple(row.split()[1:3]) for row in rows] == (
-            [(key, f"n={n}") for n in ns] + [(oracle.FIGURE2_KEY, "n=3")]), key
+            [(key, f"n={n}") for n in ns] + figure2), key
 
 
 def test_table_figure2(capsys):
@@ -292,6 +293,34 @@ def test_verify_closes_each_relation_in_one_pass(capsys, monkeypatch):
     assert passes == [list(range(1, 8))] * len(oracle.relation_keys()) + [list(range(1, 9))]
 
 
+@pytest.mark.parametrize("n_max, fig2_n_max", [(4, 4), (5, 4), (3, 5)])
+def test_verify_closes_a_listed_figure2_key_once(capsys, monkeypatch, n_max, fig2_n_max):
+    # the Figure 2 key listed in --relations (in any spelling) and the
+    # Figure 2 pass are one pass, to the larger n, printing each row once
+    passes = _counted_passes(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--relations", "{132,231}{213,312};{312,213}{231,132}",
+                       "--n-max", str(n_max), "--figure2-n-max", str(fig2_n_max))
+    top = max(n_max, fig2_n_max)
+    assert code == 0 and out.splitlines() == [
+        f"OK       {oracle.FIGURE2_KEY:24s} n={n} expected={v} engine={v}"
+        for n, v in oracle.sequence_table(oracle.FIGURE2_KEY, top).items()
+    ] + ["all rows verified"]
+    assert passes == [list(range(1, top + 1))]
+
+
+def test_classes_perm_refused_under_memory_cap(capsys, monkeypatch):
+    # a query within the bound closes S_n, under the same memory checks;
+    # the refusal is not cached
+    engine._decomposition.cache_clear()
+    argv = ("classes", "--partition", "{123,321}{132,231}", "--perm", "12345678")
+    monkeypatch.setenv("PERMCLASS_MEMORY_CAP_MB", "0.1")
+    assert run(capsys, *argv) == (
+        3, "", "resource error: estimated 0 MB exceeds PERMCLASS_MEMORY_CAP_MB\n")
+    monkeypatch.delenv("PERMCLASS_MEMORY_CAP_MB")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("12345678\n")
+
+
 _BOUND_11 = ("resource error: n=11 exceeds the factor-mode bound 10 (estimated 58 MB needed;"
              " pass allow_large (or --allow-large) to raise the bound)\n")
 
@@ -370,6 +399,8 @@ def test_verify_byte_identical_across_workers(tmp_path):
     ("classes", "--partition", "{1234,4321}", "--perm", "4321", "--max-class-size", "0"),
     ("classes", "--partition", "{123,321}", "--perm", "4321", "--max-class-size", "-1",
      "--mode", "subword"),
+    ("verify", "--relations", ""),
+    ("verify", "--relations", ";;"),
 ])
 def test_bad_value_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

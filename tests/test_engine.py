@@ -92,16 +92,22 @@ def test_trivial_classes_are_avoiders(knuth_like):
 
 @pytest.mark.parametrize("mode", ["factor", "subword"])
 def test_class_of_perm_reads_tail_and_prev(mode):
-    # class_of_perm's O(1) divmod read against the class_id array, which
-    # is built only on first use, for every rank of S_n
+    # class_of_perm's O(1) divmod read, and member_ranks' read of each
+    # class, against the class_id array, which is built only on first
+    # use, for every rank of S_n
     for key in ("{132,231}{213,312}", "{123,321}{132,231}", "{1234,4321}"):
         K = relation.parse_partition(key)
         for n in range(1, 8):
             dec = engine.enumerate_classes(n, K, mode)
             got = [dec.class_of_perm(p) for p in perms.all_perms(n)]
+            ranks = [dec.member_ranks(cid) for cid in range(dec.num_classes)]
             assert "class_id" not in vars(dec)
             assert got == dec.class_id.tolist(), (key, n)
             assert not dec.class_id.flags.writeable
+            assert all(r.dtype == np.int64 for r in ranks)
+            assert [r.tolist() for r in ranks] == [
+                np.flatnonzero(dec.class_id == cid).tolist() for cid in range(dec.num_classes)
+            ], (key, n)
 
 
 def test_worker_counts_identical(knuth_like):
@@ -424,14 +430,20 @@ def test_class_of_matches_decomposition(knuth_like):
 
 @pytest.mark.parametrize("key", ["{132,231}{213,312}", "{123,132}{213,312}",
                                  "{123,231}{132,321}", "{123,321}{132,231}"])
-def test_class_of_matches_decomposition_n8(key):
+def test_class_of_matches_decomposition_n8(key, monkeypatch):
     # every class of the session benchmark's query relations, listed in
-    # lexicographic order as the rank BFS returns it
+    # lexicographic order as the rank BFS returns it: with the factor
+    # bound at 0, class_of runs that BFS rather than read the decomposition
     K = relation.parse_partition(key)
     dec = engine.enumerate_classes(8, K)
+    searches = []
+    class_ranks = kn.class_ranks
+    monkeypatch.setattr(kn, "class_ranks", lambda *a: searches.append(a[0]) or class_ranks(*a))
+    monkeypatch.setitem(engine.DEFAULT_MAX_N, "factor", 0)
     for cid in range(dec.num_classes):
         ranks = engine.class_of(dec.representative(cid), K)
         assert [perms.unrank(int(r), 8) for r in ranks] == dec.members(cid)
+    assert searches == dec.rep_ranks.tolist()
 
 
 def test_class_of_factor_mode_reads_no_rewrites(monkeypatch):
@@ -446,16 +458,25 @@ def test_class_of_factor_mode_reads_no_rewrites(monkeypatch):
 
 
 def test_class_of_tuple_bfs_past_move_table_budget(monkeypatch):
-    # with no room for a move table, factor mode runs the tuple BFS
+    # past the factor bound (here 0) and with no room for a move table,
+    # factor mode runs the tuple BFS over relation.rewrites
     monkeypatch.setattr(engine, "_MOVE_TABLE_ENTRIES", 0)
+    monkeypatch.setitem(engine.DEFAULT_MAX_N, "factor", 0)
+    rewritten = []
+    rewrites = relation.rewrites
+    monkeypatch.setattr(relation, "rewrites", lambda q, *a: rewritten.append(q) or rewrites(q, *a))
     rng = random.Random(7)
     for key in ("{123,321}{132,231}", "{1234,4321}"):
         K = relation.parse_partition(key)
         for n in (3, 6, 7):
             p = tuple(rng.sample(range(1, n + 1), n))
+            truth = _neighbors_bfs(p, K, "factor")
+            rewritten.clear()
             ranks = engine.class_of(p, K)
             assert list(ranks) == sorted(ranks)
-            assert _members(ranks, n) == _neighbors_bfs(p, K, "factor")
+            assert _members(ranks, n) == truth
+            # below the pattern length the empty move table is within budget
+            assert set(rewritten) == (truth if n >= K.c else set())
 
 
 def test_class_of_shorter_than_patterns():
@@ -568,6 +589,30 @@ def test_class_of_cap(knuth_like):
         engine.class_of((1, 5, 3, 2, 4), knuth_like, max_size=2)
 
 
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_class_of_closes_s_n_once(monkeypatch, mode):
+    engine._decomposition.cache_clear()
+    passes = []
+    class_steps = kn.class_steps
+    monkeypatch.setattr(kn, "class_steps", lambda n, *a: passes.append(n) or class_steps(n, *a))
+    K = relation.parse_partition("{123,132}{213,231}")
+    rng = random.Random(24)
+    for _ in range(5):
+        p = tuple(rng.sample(range(1, 8), 7))
+        assert _members(engine.class_of(p, K, mode), 7) == _neighbors_bfs(p, K, mode)
+    assert passes == [7]
+
+
+def test_members_leave_class_id_unbuilt(knuth_like):
+    dec = engine.enumerate_classes(6, knuth_like)
+    members = [dec.members(cid) for cid in range(dec.num_classes)]
+    assert "class_id" not in dec.__dict__
+    assert members == [
+        [perms.unrank(int(r), 6) for r in np.flatnonzero(dec.class_id == cid)]
+        for cid in range(dec.num_classes)
+    ]
+
+
 def _neighbors_bfs(p, partition, mode):
     """Independent oracle: BFS over the Transformation records of neighbors."""
     seen = {p}
@@ -596,6 +641,16 @@ def test_class_of_matches_neighbors_bfs(mode):
                 p = tuple(rng.sample(range(1, n + 1), n))
                 truth = _neighbors_bfs(p, K, mode)
                 assert _members(engine.class_of(p, K, mode), n) == truth, (key, mode, p)
+
+
+@pytest.mark.parametrize("key", list(oracle.ROWS_BY_KEY))
+def test_subword_class_of_matches_neighbors_bfs_all_relations(key):
+    rng = random.Random(key)
+    K = relation.parse_partition(key)
+    for n in range(1, 7):
+        for _ in range(3):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            assert _members(engine.class_of(p, K, "subword"), n) == _neighbors_bfs(p, K, "subword")
 
 
 _C4_KEYS = ("{1234,4321}", "{1234,1243}{2134,2143}", "{1324,1423,2314,2413}")
