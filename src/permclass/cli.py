@@ -179,13 +179,13 @@ def _verify_rows(args):
     )
     if not keys:
         raise PermclassError(f"verify --relations {args.relations!r} names no relation")
-    tops = {}
+    rows = {}  # key: [partition, first n, last n]
     for key, top in [(k, args.n_max) for k in keys] + [(oracle.FIGURE2_KEY, args.figure2_n_max)]:
-        key = relation.parse_partition(key).text()
-        tops[key] = max(top, tops.get(key, top))
-    for key, top in tops.items():
-        ns = range(max(3, oracle.validity_floor(key)), top + 1)
-        yield from _verify_pass(key, relation.parse_partition(key), ns, args.allow_large)
+        K = relation.parse_partition(key)
+        row = rows.setdefault(K.text(), [K, max(3, oracle.validity_floor(K.text())), top])
+        row[2] = max(row[2], top)
+    for key, (K, first, top) in rows.items():
+        yield from _verify_pass(key, K, range(first, top + 1), args.allow_large)
 
 
 def _verify_pass(key, K, ns, allow_large):

@@ -31,16 +31,18 @@ mode one join slice or index set.  The class sizes and minimal ranks
 come from the step's nodes.
 ``hit_any`` and the avoider counts read hits off the same digit grid.
 
-``class_of`` reads one class off the decomposition of S_n within the
-default bound: S_n is closed once per (partition, n, mode) and kept in a
-small cache, and the members come off the tail and the ids of S_{n-1} one
-first digit at a time (``ClassDecomposition.member_ranks``), with no n!
-array.  Past the bound it finds the class without the decomposition.  In
-factor mode that is a level-synchronous BFS over Lehmer ranks: a rewrite
-at window i moves a rank by a delta read off the window's digits alone,
-so one move table per (partition, n) (kernels_numpy.factor_moves) serves
-every level, which gathers the moves of its whole frontier at once.
-Subword mode keeps a BFS over the rewrite targets of relation.rewrites.
+``class_of`` finds one class by a BFS.  In factor mode the BFS is
+level-synchronous over Lehmer ranks: a rewrite at window i moves a rank
+by a delta read off the window's digits alone, so one move table per
+(partition, n) (kernels_numpy.factor_moves) serves every level, which
+gathers the moves of its whole frontier at once.  The subword BFS runs
+over the rewrite targets of relation.rewrites.  Within the default bound
+the class is read off a kept decomposition of S_n instead, once the
+BFS's work on that (partition, n, mode) would pass the cost of closing
+S_n (at once in subword mode): the members come off the tail and the ids
+of S_{n-1} one first digit at a time (``ClassDecomposition.member_ranks``),
+with no n! array, and a relation whose S_n would hold too many classes
+keeps the BFS.
 
 Default bounds: n <= 10 in factor mode, n <= 8 in subword mode;
 ``allow_large`` raises them to 12/10 after checking the memory estimate
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
@@ -343,9 +346,62 @@ def _factor_moves(partition: ReplacementPartition, n: int):
     return moves
 
 
-@lru_cache(maxsize=8)
-def _decomposition(partition: ReplacementPartition, n: int, mode: Mode) -> ClassDecomposition:
-    return enumerate_classes(n, partition, mode)
+# Within the default bound, class_of's rank BFS gives way to closing S_n
+# once, over the queries of one (partition, n), it would find more than
+# n!/_BFS_SHARE members.  Closing S_n of a registered relation costs as
+# much as the rank BFS over about n!/16 members at n=8, n!/60 at n=9 and
+# n!/100 to n!/300 at n=10 (2-vCPU host), so a large or often-asked class
+# is not searched for long, and a small class asked once never closes S_n.
+_BFS_SHARE = 128
+# class_of keeps the decompositions it reads classes off, least recently
+# used first, in at most this many bytes of arrays together; a factor S_10
+# of one of the registered relations holds 1.5-1.8 MB, {123,321}'s 7.0 MB,
+# and {1234,4321}'s 2.6M classes 54 MB, which the rank BFS answers instead.
+_CLASS_OF_CACHE_BYTES = 32 << 20
+# ... and remembers how it answered at most this many (partition, n, mode).
+_CLASS_OF_CACHE_KEYS = 64
+_TOO_LARGE = "too large"  # the BFS answers: S_n would pass the byte budget or a cap
+# (partition, n, mode) -> the members the rank BFS has found (an int), the
+# kept ClassDecomposition, or _TOO_LARGE
+_class_of_cache: OrderedDict = OrderedDict()
+
+
+class _OutOfRoom(Exception):
+    """The rank BFS found more members than it had room for."""
+
+
+def _keep(key: tuple, entry) -> None:
+    """Store class_of's entry for key as the most recently used, then drop
+    the least recently used past _CLASS_OF_CACHE_KEYS keys or
+    _CLASS_OF_CACHE_BYTES of kept arrays."""
+    _class_of_cache[key] = entry
+    total = sum(_held_bytes(e) for e in _class_of_cache.values() if isinstance(e, ClassDecomposition))
+    while total > _CLASS_OF_CACHE_BYTES or len(_class_of_cache) > _CLASS_OF_CACHE_KEYS:
+        _, old = _class_of_cache.popitem(last=False)
+        if isinstance(old, ClassDecomposition):
+            total -= _held_bytes(old)
+
+
+def _held_bytes(dec: ClassDecomposition) -> int:
+    return sum(a.nbytes for a in (dec.tail, dec.prev, dec.class_sizes, dec.rep_ranks))
+
+
+def _decomposition_to_keep(partition: ReplacementPartition, n: int, mode: Mode):
+    """S_n, or _TOO_LARGE where its arrays could pass _CLASS_OF_CACHE_BYTES
+    or the closure is refused (PERMCLASS_MEMORY_CAP_MB).  The pass stops at
+    S_{n-1} when its classes show that S_n could hold too much: the int32
+    ids of S_{n-1} and at most n nodes a class of S_{n-1}, each an int32
+    tail entry and a class's int64 size and minimal rank."""
+    steps = decompositions(range(max(n - 1, 1), n + 1), partition, mode)
+    try:
+        for dec in steps:
+            if dec.n < n and 4 * factorial(n - 1) + 20 * n * dec.num_classes > _CLASS_OF_CACHE_BYTES:
+                return _TOO_LARGE
+    except ResourceLimitError:
+        return _TOO_LARGE
+    finally:
+        steps.close()
+    return dec
 
 
 def class_of(
@@ -357,19 +413,21 @@ def class_of(
     """The class of p, as the sorted int64 Lehmer ranks of its members
     (so in lexicographic order; ``len`` counts them).
 
-    For 1 <= n <= DEFAULT_MAX_N[mode] the class is read off the
-    decomposition of S_n (ClassDecomposition.member_ranks), which
-    enumerate_classes builds, with its bound and PERMCLASS_MEMORY_CAP_MB
-    checks, once per (partition, n, mode); the last few are cached.  Past
-    the bound, factor mode runs a level-synchronous BFS over ranks
+    Factor mode runs a level-synchronous BFS over ranks
     (kernels_numpy.class_ranks) on the window moves of
     kernels_numpy.factor_moves, built once per (partition, n); subword
     mode, and factor mode where that table would pass
     _MOVE_TABLE_ENTRIES, run a BFS over the target tuples of
-    relation.rewrites.  Neither path builds the n! class ids.  More than
-    ``max_size`` members (default DEFAULT_CLASS_CAP) raise
-    ResourceLimitError, within the bound before any member is listed; a
-    max_size below 1 raises ValueError.
+    relation.rewrites.  For 1 <= n <= DEFAULT_MAX_N[mode] the class is
+    read off a kept decomposition of S_n instead
+    (ClassDecomposition.member_ranks), closed at a subword query, and at
+    the factor query whose rank BFS would take the members it has found
+    for this (partition, n) past n!/_BFS_SHARE; a relation whose S_n
+    would be too large to keep (_decomposition_to_keep) stays with the
+    BFS.  No path builds the n! class ids.  More than ``max_size``
+    members (default DEFAULT_CLASS_CAP) raise ResourceLimitError, off a
+    decomposition before any member is listed; a max_size below 1 raises
+    ValueError.
     """
     start = perms.as_perm(p)
     cap = max_size if max_size is not None else DEFAULT_CLASS_CAP
@@ -381,13 +439,41 @@ def class_of(
             raise ResourceLimitError(f"class of {perms.format_perm(start)} exceeds cap {cap}")
 
     n = len(start)
-    if 1 <= n <= DEFAULT_MAX_N.get(mode, 0):
-        dec = _decomposition(partition, n, mode)
-        cid = dec.class_of_perm(start)
-        admit(int(dec.class_sizes[cid]))
-        return dec.member_ranks(cid)
-    if mode == "factor" and _move_table_entries(n, partition) <= _MOVE_TABLE_ENTRIES:
-        return kernels_numpy.class_ranks(perms.rank(start), _factor_moves(partition, n), admit)
+    rank_bfs = mode == "factor" and _move_table_entries(n, partition) <= _MOVE_TABLE_ENTRIES
+    if not 1 <= n <= DEFAULT_MAX_N.get(mode, 0):
+        return _bfs(start, partition, mode, admit, rank_bfs)
+    key = (partition, n, mode)
+    entry = _class_of_cache.pop(key, 0)
+    try:
+        if isinstance(entry, int):
+            room = factorial(n) // _BFS_SHARE - entry if rank_bfs else 0
+
+            def admit_within_room(size: int) -> None:
+                admit(size)
+                if size > room:
+                    raise _OutOfRoom
+
+            if room > 0:
+                try:
+                    ranks = _bfs(start, partition, mode, admit_within_room, rank_bfs)
+                    entry += len(ranks)
+                    return ranks
+                except _OutOfRoom:
+                    pass
+            entry = _decomposition_to_keep(partition, n, mode)
+        if entry is _TOO_LARGE:
+            return _bfs(start, partition, mode, admit, rank_bfs)
+        cid = entry.class_of_perm(start)
+        admit(int(entry.class_sizes[cid]))
+        return entry.member_ranks(cid)
+    finally:
+        _keep(key, entry)
+
+
+def _bfs(start: Perm, partition: ReplacementPartition, mode: Mode, admit, rank_bfs: bool) -> np.ndarray:
+    """class_of by the rank BFS where rank_bfs, else by the tuple BFS."""
+    if rank_bfs:
+        return kernels_numpy.class_ranks(perms.rank(start), _factor_moves(partition, len(start)), admit)
     seen = {start}
     frontier = [start]
     while frontier:

@@ -1,8 +1,16 @@
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
 from permclass import engine, relation
+
+
+@pytest.fixture(autouse=True)
+def fresh_class_of_cache(monkeypatch):
+    """Each test starts with no class_of query asked and no decomposition kept."""
+    monkeypatch.setattr(engine, "_class_of_cache", OrderedDict())
 
 
 @pytest.fixture(params=["numpy"])

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import permclass
-from permclass import cli, engine, oracle
+from permclass import cli, engine, oracle, relation
 from permclass.engine import kernels_numpy as kn
+from permclass.errors import ResourceLimitError
 
 
 def run(capsys, *argv):
@@ -249,6 +250,18 @@ def test_verify_reads_relation_keys_in_any_order(capsys):
     assert (code, out, err) == (2, "", "error: unknown relation key '{123,132}'\n")
 
 
+@pytest.mark.parametrize("bad, err", [
+    ("{132,123}", "error: unknown relation key '{123,132}'\n"),
+    ("{12,34}", "error: bad pattern token in {12,34}: not a permutation of 1..2: (3, 4)\n"),
+])
+def test_verify_refuses_a_bad_key_before_any_pass(capsys, monkeypatch, bad, err):
+    # an unregistered or malformed key listed after a good one is refused
+    # before the good one is closed or printed
+    passes = _counted_passes(monkeypatch)
+    got = run(capsys, "verify", "--relations", f"{{123,132,231}};{bad}", "--n-max", "4")
+    assert (got, passes) == ((2, "", err), [])
+
+
 def test_long_patterns_refused_with_the_limit(capsys):
     code, out, err = run(capsys, "count", "--partition", "{1234567,2134567}", "--n", "8")
     assert code == 2 and out == ""
@@ -308,17 +321,20 @@ def test_verify_closes_a_listed_figure2_key_once(capsys, monkeypatch, n_max, fig
     assert passes == [list(range(1, top + 1))]
 
 
-def test_classes_perm_refused_under_memory_cap(capsys, monkeypatch):
-    # a query within the bound closes S_n, under the same memory checks;
-    # the refusal is not cached
-    engine._decomposition.cache_clear()
-    argv = ("classes", "--partition", "{123,321}{132,231}", "--perm", "12345678")
-    monkeypatch.setenv("PERMCLASS_MEMORY_CAP_MB", "0.1")
-    assert run(capsys, *argv) == (
-        3, "", "resource error: estimated 0 MB exceeds PERMCLASS_MEMORY_CAP_MB\n")
-    monkeypatch.delenv("PERMCLASS_MEMORY_CAP_MB")
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "") and out.startswith("12345678\n")
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_classes_perm_under_memory_cap_keeps_the_bfs(capsys, monkeypatch, mode):
+    # a closure of S_n refused under PERMCLASS_MEMORY_CAP_MB is not kept:
+    # the BFS answers every query, with the output it gives without the cap
+    argv = ("classes", "--partition", "{123,321}{132,231}", "--perm", "231546", "--mode", mode)
+    free = run(capsys, *argv)
+    assert free[0] == 0 and len(free[1].splitlines()) > 1
+    engine._class_of_cache.clear()
+    monkeypatch.setenv("PERMCLASS_MEMORY_CAP_MB", "0.001")
+    with pytest.raises(ResourceLimitError, match="PERMCLASS_MEMORY_CAP_MB"):
+        engine.enumerate_classes(6, relation.parse_partition(argv[2]), mode)
+    for _ in range(3):
+        assert run(capsys, *argv) == free
+    assert list(engine._class_of_cache.values()) == [engine._TOO_LARGE]
 
 
 _BOUND_11 = ("resource error: n=11 exceeds the factor-mode bound 10 (estimated 58 MB needed;"

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import OrderedDict
 from functools import lru_cache
 from math import factorial
 
@@ -413,19 +414,52 @@ def _members(ranks, n):
     return {perms.unrank(int(r), n) for r in ranks}
 
 
-def test_class_of_worked_example(knuth_like):
-    cls = _members(engine.class_of((1, 5, 3, 2, 4), knuth_like), 5)
-    assert (1, 2, 4, 5, 3) in cls
-    # an avoider is alone in its class
+class _Marked(OrderedDict):
+    """A class_of cache that holds ``mark`` for every key not yet in it."""
+
+    def __init__(self, mark):
+        super().__init__()
+        self.mark = mark
+
+    def pop(self, key, default=None):
+        return super().pop(key, self.mark)
+
+
+def _paths(monkeypatch):
+    """Yields "decomposition", then "bfs", sending every class_of of the
+    loop body within the default bound down that path, and checks that it
+    was taken: "decomposition" as if the rank BFS had used up its room on
+    each (partition, n, mode) already, so S_n is closed and kept, "bfs" as
+    if each were too large to keep, so the rank BFS (factor mode) or the
+    tuple BFS (subword mode) answers."""
+    keep = engine._decomposition_to_keep
+    for path, mark in (("decomposition", sys.maxsize), ("bfs", engine._TOO_LARGE)):
+        kept = []
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_class_of_cache", _Marked(mark))
+            m.setattr(engine, "_decomposition_to_keep", lambda *a: kept.append(keep(*a)) or kept[-1])
+            yield path
+        if path == "decomposition":
+            assert kept and all(isinstance(d, engine.ClassDecomposition) for d in kept)
+        else:
+            assert kept == []
+
+
+def test_class_of_worked_example(knuth_like, monkeypatch):
     K = relation.parse_partition("{123,132,231}")
-    assert _members(engine.class_of((4, 3, 2, 1), K), 4) == {(4, 3, 2, 1)}
+    for _ in _paths(monkeypatch):
+        cls = _members(engine.class_of((1, 5, 3, 2, 4), knuth_like), 5)
+        assert (1, 2, 4, 5, 3) in cls
+        # an avoider is alone in its class
+        assert _members(engine.class_of((4, 3, 2, 1), K), 4) == {(4, 3, 2, 1)}
 
 
-def test_class_of_matches_decomposition(knuth_like):
+def test_class_of_matches_decomposition(knuth_like, monkeypatch):
     dec = engine.enumerate_classes(5, knuth_like)
-    for cid in range(dec.num_classes):
-        rep = dec.representative(cid)
-        assert _members(engine.class_of(rep, knuth_like), 5) == set(dec.members(cid))
+    for _ in _paths(monkeypatch):
+        for cid in range(dec.num_classes):
+            rep = dec.representative(cid)
+            assert _members(engine.class_of(rep, knuth_like), 5) == set(dec.members(cid))
 
 
 @pytest.mark.parametrize("key", ["{132,231}{213,312}", "{123,132}{213,312}",
@@ -436,9 +470,7 @@ def test_class_of_matches_decomposition_n8(key, monkeypatch):
     # bound at 0, class_of runs that BFS rather than read the decomposition
     K = relation.parse_partition(key)
     dec = engine.enumerate_classes(8, K)
-    searches = []
-    class_ranks = kn.class_ranks
-    monkeypatch.setattr(kn, "class_ranks", lambda *a: searches.append(a[0]) or class_ranks(*a))
+    _, searches = _counted(monkeypatch)
     monkeypatch.setitem(engine.DEFAULT_MAX_N, "factor", 0)
     for cid in range(dec.num_classes):
         ranks = engine.class_of(dec.representative(cid), K)
@@ -454,7 +486,8 @@ def test_class_of_factor_mode_reads_no_rewrites(monkeypatch):
     p = (3, 1, 4, 2, 6, 5, 8, 7)
     expected = _neighbors_bfs(p, K, "factor")
     monkeypatch.setattr(relation, "rewrites", refuse)
-    assert _members(engine.class_of(p, K), 8) == expected
+    for _ in _paths(monkeypatch):
+        assert _members(engine.class_of(p, K), 8) == expected
 
 
 def test_class_of_tuple_bfs_past_move_table_budget(monkeypatch):
@@ -479,12 +512,13 @@ def test_class_of_tuple_bfs_past_move_table_budget(monkeypatch):
             assert set(rewritten) == (truth if n >= K.c else set())
 
 
-def test_class_of_shorter_than_patterns():
-    for key in ("{123,321}", "{1234,4321}{1243,3421}"):
-        K = relation.parse_partition(key)
-        for n in range(K.c):
-            for p in perms.all_perms(n):
-                assert engine.class_of(p, K).tolist() == [perms.rank(p)]
+def test_class_of_shorter_than_patterns(monkeypatch):
+    for _ in _paths(monkeypatch):
+        for key in ("{123,321}", "{1234,4321}{1243,3421}"):
+            K = relation.parse_partition(key)
+            for n in range(K.c):
+                for p in perms.all_perms(n):
+                    assert engine.class_of(p, K).tolist() == [perms.rank(p)]
 
 
 def test_class_of_exact_at_top_of_s20():
@@ -584,23 +618,108 @@ def test_memory_checked_again_over_known_classes(monkeypatch):
     assert engine.enumerate_classes(8, K).num_classes == 31990
 
 
-def test_class_of_cap(knuth_like):
-    with pytest.raises(ResourceLimitError):
-        engine.class_of((1, 5, 3, 2, 4), knuth_like, max_size=2)
+def test_class_of_cap(knuth_like, monkeypatch):
+    for _ in _paths(monkeypatch):
+        with pytest.raises(ResourceLimitError):
+            engine.class_of((1, 5, 3, 2, 4), knuth_like, max_size=2)
+
+
+def _counted(monkeypatch):
+    """Wrap kernels_numpy.class_steps and class_ranks: one list per pass,
+    of the k of each S_k it closed, and the start rank of each rank BFS."""
+    passes, searches = [], []
+    class_steps, class_ranks = kn.class_steps, kn.class_ranks
+
+    def counted(n, tab, mode):
+        passes.append([])
+        for k, step in enumerate(class_steps(n, tab, mode), 1):
+            passes[-1].append(k)
+            yield step
+
+    monkeypatch.setattr(kn, "class_steps", counted)
+    monkeypatch.setattr(kn, "class_ranks", lambda *a: searches.append(a[0]) or class_ranks(*a))
+    return passes, searches
 
 
 @pytest.mark.parametrize("mode", ["factor", "subword"])
 def test_class_of_closes_s_n_once(monkeypatch, mode):
-    engine._decomposition.cache_clear()
-    passes = []
-    class_steps = kn.class_steps
-    monkeypatch.setattr(kn, "class_steps", lambda n, *a: passes.append(n) or class_steps(n, *a))
+    # repeated queries on one relation and n close S_n once; subword mode
+    # closes it at the first query
+    passes, _ = _counted(monkeypatch)
     K = relation.parse_partition("{123,132}{213,231}")
     rng = random.Random(24)
-    for _ in range(5):
+    for i in range(5):
         p = tuple(rng.sample(range(1, 8), 7))
         assert _members(engine.class_of(p, K, mode), 7) == _neighbors_bfs(p, K, mode)
-    assert passes == [7]
+        if i == 0 and mode == "subword":
+            assert passes == [list(range(1, 8))]
+    assert passes == [list(range(1, 8))]
+
+
+def test_class_of_rank_bfs_gives_way_to_s_n(monkeypatch):
+    # the rank BFS answers a relation's queries while the members it has
+    # found stay within n!/_BFS_SHARE; the query that would pass that
+    # closes S_n, and the later ones read it
+    K = relation.parse_partition("{132,231}{213,312}")
+    dec = engine.enumerate_classes(8, K)
+    room = factorial(8) // engine._BFS_SHARE
+    sizes = dec.class_sizes.tolist()
+    small = next(c for c, size in enumerate(sizes) if 1 < size <= room // 2)
+    large = next(c for c, size in enumerate(sizes) if size > room)
+    passes, searches = _counted(monkeypatch)
+    for cid, bfs, closed in ((small, 1, 0), (small, 2, 0), (large, 3, 1), (small, 3, 1), (large, 3, 1)):
+        assert engine.class_of(dec.representative(cid), K).tolist() == dec.member_ranks(cid).tolist()
+        assert (len(searches), len(passes)) == (bfs, closed)
+    assert list(engine._class_of_cache) == [(K, 8, "factor")]
+    assert isinstance(engine._class_of_cache[K, 8, "factor"], engine.ClassDecomposition)
+
+
+def test_class_of_one_off_small_class_closes_nothing(monkeypatch):
+    # one member at n=10, as a single classes --perm request asks it
+    passes, searches = _counted(monkeypatch)
+    K = relation.parse_partition("{132,231}{213,312}")
+    p = (10, 9, 8, 7, 6, 5, 4, 3, 2, 1)
+    assert engine.class_of(p, K).tolist() == [perms.rank(p)]
+    assert (passes, len(searches)) == ([], 1)
+    assert engine._class_of_cache[K, 10, "factor"] == 1
+
+
+def test_class_of_keeps_the_bfs_for_a_relation_with_many_classes(monkeypatch):
+    # {1234,4321} has 274050 classes in S_9, so its S_10 could hold 4 * 9! +
+    # 20 * 10 * 274050 B = 56 MB: with no room for the rank BFS, the pass
+    # stops at S_9, and the rank BFS answers every query
+    monkeypatch.setattr(engine, "_BFS_SHARE", factorial(10) + 1)
+    passes, searches = _counted(monkeypatch)
+    K = relation.parse_partition("{1234,4321}")
+    p = tuple(range(1, 11))
+    for _ in range(3):
+        assert len(engine.class_of(p, K)) == 26
+    assert passes == [list(range(1, 10))] and len(searches) == 3
+    assert list(engine._class_of_cache.values()) == [engine._TOO_LARGE]
+
+
+def test_class_of_cache_holds_at_most_its_bytes(monkeypatch):
+    # with room for two S_8 decompositions of these relations, a third
+    # evicts the least recently used
+    keys = ("{123,132}{213,231}", "{123,321}{132,231}", "{132,231}{213,312}")
+    decs = [engine.enumerate_classes(8, relation.parse_partition(k)) for k in keys]
+    held = [engine._held_bytes(d) for d in decs]
+    monkeypatch.setattr(engine, "_CLASS_OF_CACHE_BYTES", held[1] + held[2] + held[0] // 2)
+    monkeypatch.setattr(engine, "_BFS_SHARE", factorial(8) + 1)
+    for key in keys:
+        engine.class_of(perms.identity(8), relation.parse_partition(key))
+    kept = {k[0].text(): v for k, v in engine._class_of_cache.items()}
+    assert [type(v) for v in kept.values()] == [engine.ClassDecomposition] * 2
+    assert list(kept) == [relation.parse_partition(k).text() for k in keys[1:]]
+    assert sum(map(engine._held_bytes, kept.values())) <= engine._CLASS_OF_CACHE_BYTES
+
+
+def test_class_of_cache_remembers_at_most_its_keys(monkeypatch):
+    monkeypatch.setattr(engine, "_CLASS_OF_CACHE_KEYS", 3)
+    K = relation.parse_partition("{123,321}{132,231}")
+    for n in range(1, 7):
+        engine.class_of(perms.identity(n), K)
+    assert [key[1] for key in engine._class_of_cache] == [4, 5, 6]
 
 
 def test_members_leave_class_id_unbuilt(knuth_like):
@@ -629,51 +748,66 @@ def _neighbors_bfs(p, partition, mode):
 
 
 @pytest.mark.parametrize("mode", ["factor", "subword"])
-def test_class_of_matches_neighbors_bfs(mode):
+def test_class_of_matches_neighbors_bfs(mode, monkeypatch):
     # subword classes at n=7 run to thousands of members; stop at n=6 there
     rng = random.Random(20260)
     top = 7 if mode == "factor" else 6
+    cases = []
     for key in ("{123,321}{132,231}", "{123,132,231}", "{132,231}{213,312}",
                 "{123,132}{213,321}"):
         K = relation.parse_partition(key)
         for n in range(1, top + 1):
             for _ in range(3):
                 p = tuple(rng.sample(range(1, n + 1), n))
-                truth = _neighbors_bfs(p, K, mode)
-                assert _members(engine.class_of(p, K, mode), n) == truth, (key, mode, p)
+                cases.append((K, p, _neighbors_bfs(p, K, mode)))
+    for _ in _paths(monkeypatch):
+        for K, p, truth in cases:
+            assert _members(engine.class_of(p, K, mode), len(p)) == truth, (K.text(), mode, p)
 
 
 @pytest.mark.parametrize("key", list(oracle.ROWS_BY_KEY))
-def test_subword_class_of_matches_neighbors_bfs_all_relations(key):
-    rng = random.Random(key)
-    K = relation.parse_partition(key)
-    for n in range(1, 7):
-        for _ in range(3):
-            p = tuple(rng.sample(range(1, n + 1), n))
-            assert _members(engine.class_of(p, K, "subword"), n) == _neighbors_bfs(p, K, "subword")
+def test_subword_class_of_matches_neighbors_bfs_all_relations(key, monkeypatch):
+    _check_random_classes(key, "subword", 6, monkeypatch)
 
 
 _C4_KEYS = ("{1234,4321}", "{1234,1243}{2134,2143}", "{1324,1423,2314,2413}")
 
 
 @pytest.mark.parametrize("key", [*oracle.relation_keys(), *_C4_KEYS])
-def test_factor_class_of_matches_neighbors_bfs_all_relations(key):
+def test_factor_class_of_matches_neighbors_bfs_all_relations(key, monkeypatch):
+    _check_random_classes(key, "factor", 7, monkeypatch)
+
+
+def _check_random_classes(key, mode, top, monkeypatch):
+    """class_of on both paths against _neighbors_bfs, for three random
+    permutations of each n up to top."""
     rng = random.Random(key)
     K = relation.parse_partition(key)
-    for n in range(1, 8):
+    cases = []
+    for n in range(1, top + 1):
         for _ in range(3):
             p = tuple(rng.sample(range(1, n + 1), n))
-            assert _members(engine.class_of(p, K), n) == _neighbors_bfs(p, K, "factor"), p
+            cases.append((p, _neighbors_bfs(p, K, mode)))
+    for _ in _paths(monkeypatch):
+        for p, truth in cases:
+            assert _members(engine.class_of(p, K, mode), len(p)) == truth, p
 
 
 @pytest.mark.parametrize("mode", ["factor", "subword"])
-def test_class_of_cap_boundary(knuth_like, mode):
-    p = (1, 5, 3, 2, 4)
-    size = len(engine.class_of(p, knuth_like, mode))
-    assert size > 2
-    assert len(engine.class_of(p, knuth_like, mode, max_size=size)) == size
-    with pytest.raises(ResourceLimitError, match="exceeds cap"):
-        engine.class_of(p, knuth_like, mode, max_size=size - 1)
+def test_class_of_cap_boundary(knuth_like, mode, monkeypatch):
+    # the exact size is admitted and one less refused on every path: off
+    # the decomposition's class sizes, in the tuple BFS (subword mode), and
+    # in the rank BFS (factor mode) with whole levels or one rank a batch
+    p = (1, 5, 3, 2, 4, 7, 6) if mode == "factor" else (1, 5, 3, 2, 4)
+    for candidates in (None, 1) if mode == "factor" else (None,):
+        if candidates is not None:
+            monkeypatch.setattr(kn, "_BFS_CANDIDATES", candidates)
+        for _ in _paths(monkeypatch):
+            size = len(engine.class_of(p, knuth_like, mode))
+            assert size > 2
+            assert len(engine.class_of(p, knuth_like, mode, max_size=size)) == size
+            with pytest.raises(ResourceLimitError, match="exceeds cap"):
+                engine.class_of(p, knuth_like, mode, max_size=size - 1)
 
 
 @pytest.mark.parametrize("mode", ["factor", "subword"])
