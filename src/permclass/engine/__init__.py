@@ -27,8 +27,8 @@ batch at a time by root hooking over one int32 root array, so no step
 holds more than one batch's edges: in factor mode the first window's
 local pairs read as rows of the class ids of S_{k-1}, the whole step
 within a fixed edge budget, else one first digit a batch; in subword
-mode one join slice or index set.  The class sizes and minimal ranks
-come from the step's nodes.
+mode one join slice or index set.  The class sizes come from the step's
+nodes, and each class's minimal rank from its root, its minimal node.
 ``hit_any`` and the avoider counts read hits off the same digit grid.
 
 ``class_of`` finds one class by a BFS.  In factor mode the BFS is
@@ -184,7 +184,8 @@ def estimate_bytes(
 
     Both modes charge 40 B a node (n * classes tail nodes, and as many head
     nodes in subword mode): the root array and its pointer jumps, the
-    numbered ids, and each class's int64 size and minimal rank.  Factor
+    numbered ids, and each class's int32 root and int64 size and minimal
+    rank (every class has a tail node).  Factor
     mode also holds the int32 class ids of S_{n-1} (4 B a rank of S_{n-1})
     and one batch of the first window's edges, 24 B an edge (the node pair,
     its root images and the closure's filtered copies).

@@ -21,8 +21,11 @@ rank edges.  The letters of a local rule are kept
 column-major, one contiguous int8 row per letter position: the pattern
 at an index set reads c of those rows, and a rewrite's target loc is its
 own loc plus a delta read off the letters it moves and how the other
-letters interleave with them (``_local_pairs``), so no row of letters is
-copied or re-ranked.
+letters interleave with them (``_rewrite_pairs``), so no row of letters
+is copied or re-ranked.  A window's local pairs depend on m, c and the
+rewrite's two patterns alone, so they are computed once per process
+(``_window_pairs``) and shared by every step, relation and call that
+asks for them.
 
 ``class_steps`` closes the edges of either mode one letter at a time, from
 S_1, and yields the classes of each S_k as it closes them, so a request
@@ -35,8 +38,9 @@ leaves the last letter alone acts on the rank of the first letters only,
 so the step joins the two closures and adds only the index sets through
 both ends.  ``connected_class_ids`` closes a step's edges one batch at a
 time by root hooking and pointer jumping over one int32 root array, so no
-step holds more than one batch's edges; each class's size and minimal
-rank are read off the step's nodes.  A factor step's batch is the first
+step holds more than one batch's edges; each class's root is its minimal
+node, a tail node, so its minimal rank is read off its root and its size
+off the step's nodes.  A factor step's batch is the first
 window's local pairs (``factor_edges``), the whole step if it has at
 most _BATCH_EDGES edges, else one first digit at a time, mapped to nodes
 straight from rows of the class ids of the step before, so factor mode
@@ -46,8 +50,9 @@ of S_{k-1}, for the caller to gather if it needs them.
 
 The same local rules give one class without the others: ``factor_moves``
 turns every window's local pairs into rank deltas, and ``class_ranks``
-runs a BFS over ranks with them, a whole level at a time; ``unrank`` reads
-the letters of many ranks at once.
+runs a BFS over ranks with them, a whole level at a time, deduplicating
+by sort (np.unique would import numpy.ma, 15 ms, into a one-query
+process); ``unrank`` reads the letters of many ranks at once.
 """
 
 from __future__ import annotations
@@ -114,53 +119,83 @@ def _pattern_ids(cols) -> np.ndarray:
     return pid
 
 
+@lru_cache(maxsize=None)
 def window_pattern_ids(m: int, c: int) -> np.ndarray:
-    """S_c pattern id of the window at each loc (the local rule's pattern)."""
-    return _pattern_ids(window_letters(m, c))
+    """S_c pattern id of the window at each loc (the local rule's pattern),
+    cached read-only as window_letters is."""
+    pid = _pattern_ids(window_letters(m, c))
+    pid.flags.writeable = False
+    return pid
 
 
 def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarray, np.ndarray]:
     """The local edges (a, b) of the rewrites at the columns cols of the
     first span letters of S_m, as int32 loc arrays: a is a loc whose
     pattern at cols has partners (a part's D pattern, ``build_tables``),
-    b the loc rewritten to one of them.
+    b the loc rewritten to one of them.  A window (span c) reads each
+    rewrite's pairs off ``_window_pairs``; an index set of a wider span
+    computes its own (``_rewrite_pairs``)."""
+    if span == tab.c:
+        pairs = [_window_pairs(m, span, d, u) for d, us in tab.partners for u in us]
+    else:
+        letters = window_letters(m, span)
+        pid = _pattern_ids([letters[j] for j in cols])
+        pairs = [pair for d, us in tab.partners for pair in _rewrite_pairs(m, span, cols, pid, d, us)]
+    none = np.empty(0, dtype=np.int32)
+    return (np.concatenate([none, *(a for a, _ in pairs)]),
+            np.concatenate([none, *(b for _, b in pairs)]))
+
+
+@lru_cache(maxsize=None)
+def _window_pairs(m: int, c: int, d: int, u: int) -> tuple[np.ndarray, np.ndarray]:
+    """The local pairs of the rewrite from pattern d to pattern u at the
+    first window (c letters) of S_m, cached read-only per (m, c, d, u) as
+    window_letters is: the closure, ``factor_step_edges`` and
+    ``factor_moves`` ask for the same windows on every call, and relations
+    that share a rewrite share its pairs.  A pair holds 8 B for each of the
+    m!/(m-c)!/c! locs of pattern d (1.8 KB at m=12, c=3); subword's index
+    sets through both ends, whose span is all m letters, are not kept."""
+    ((a, b),) = _rewrite_pairs(m, c, range(c), window_pattern_ids(m, c), d, (u,))
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _rewrite_pairs(m: int, span: int, cols, pid: np.ndarray, d: int, us) -> list:
+    """The local pairs (a, b) of the rewrites from pattern d to each
+    pattern of us at the columns cols of the first span letters of S_m,
+    whose pattern ids are pid, one (a, b) of int32 loc arrays per u.
 
     The loc of letters L_0..L_{span-1} is ``sum_j (L_j - E_j) * w_j``, where
     E_j counts the earlier letters below L_j and w_j is the weight of digit
-    j.  The rewrite from pattern t to partner q moves the letter at cols[i]
-    to cols[dest[i]], where dest depends on t and q alone, and keeps every
+    j.  The rewrite from pattern d to pattern u moves the letter at cols[i]
+    to cols[dest[i]], where dest depends on d and u alone, and keeps every
     other letter.  So b - a is the change in the moved letters' own terms,
     linear in those letters, less the change in the E pairs with an end at
     cols, which depends only on how many moved letters lie below each
     other letter: a table (``_pair_weights``) over the code of
-    ``_interleave``.  Each source pattern's rows are gathered one letter
-    column at a time, and the code is read off those rows alone; no row is
-    copied or ranked again.
+    ``_interleave``.  The rows of pattern d are gathered one letter column
+    at a time, and the code is read off those rows alone; no row is copied
+    or ranked again.
     """
     letters = window_letters(m, span)
     cols = list(cols)
-    moved = [letters[j] for j in cols]
     others = [j for j in range(span) if j not in cols]
     weight = [factorial(m - 1 - j) // factorial(m - span) for j in range(span)]
-    onel = tab.pat_onel - 1
-    pairs = {t: _pair_weights(onel[t], cols, others, weight)
-             for d, us in tab.partners for t in (d, *us)}
-    pid = _pattern_ids(moved)
-    a_parts, b_parts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
-    for t, us in tab.partners:
-        rows = np.flatnonzero(pid == t)
-        a = rows.astype(np.int32)
-        here = [x[rows] for x in moved]
-        at = _interleave(here, [letters[j][rows] for j in others])
-        for q in us:
-            dest = np.argsort(onel[q])[onel[t]]
-            b = a + (pairs[t] - pairs[q]).astype(np.int32)[at]
-            for x, j, d in zip(here, cols, dest):
-                if cols[d] != j:
-                    b += np.multiply(x, weight[cols[d]] - weight[j], dtype=np.int32)
-            a_parts.append(a)
-            b_parts.append(b)
-    return np.concatenate(a_parts), np.concatenate(b_parts)
+    onel = window_letters(len(cols), len(cols))  # column t: the letters of pattern t
+    rows = np.flatnonzero(pid == d)
+    a = rows.astype(np.int32)
+    here = [letters[j][rows] for j in cols]
+    at = _interleave(here, [letters[j][rows] for j in others])
+    own = _pair_weights(onel[:, d], cols, others, weight)
+    pairs = []
+    for u in us:
+        dest = np.argsort(onel[:, u])[onel[:, d]]
+        b = a + (own - _pair_weights(onel[:, u], cols, others, weight)).astype(np.int32)[at]
+        for x, j, t in zip(here, cols, dest):
+            if cols[t] != j:
+                b += np.multiply(x, weight[cols[t]] - weight[j], dtype=np.int32)
+        pairs.append((a, b))
+    return pairs
 
 
 def _interleave(moved: list, others: list) -> np.ndarray:
@@ -239,9 +274,11 @@ def class_steps(
     both position 0 and k-1 over these 2 * k * C nodes.
 
     Tail node order is minimal-rank order and every head node meets a tail
-    node, so the ids of connected_class_ids follow minimal rank; a class's
-    size and minimal rank come from its tail nodes, each (d, c) of size
-    ``sizes[c]`` and minimal rank ``d * (k-1)! + reps[c]``.  cls of S_{k-1}
+    node, so the ids of connected_class_ids follow minimal rank and each
+    class's root (its minimal node) is a tail node.  Tail node (d, c)
+    holds ``sizes[c]`` ranks, the least ``d * (k-1)! + reps[c]``: a class's
+    size adds up over its tail nodes, and its minimal rank is its root's
+    (``_sizes_reps``).  cls of S_{k-1}
     is read off the tail and cls of the step before at the start of step
     k, so the ids of S_k are never gathered; head and last (the last
     letter, 0-based) are carried from step to step below n.
@@ -255,33 +292,28 @@ def class_steps(
         prev = tail.reshape(k - 1, -1)[:, prev].ravel()
         total = (k if mode == "factor" else 2 * k) * num
         batches = _batches(k, tab, mode, prev, num, head, last)
-        comp, new_num = connected_class_ids(total, batches)
+        comp, _, roots = connected_class_ids(total, batches)
         tail = comp[: k * num]
         if mode == "subword":
             tail = tail.copy()  # a view would keep the step's head nodes alive
-        sizes, reps = _sizes_reps(k, tail, num, new_num, sizes, reps)
+        sizes, reps = _sizes_reps(k, tail, num, roots, sizes, reps)
         if mode == "subword" and k < n:
             parts = [_head_last(k, d, head, last) for d in range(k)]
             head, last = (np.concatenate(col) for col in zip(*parts))
         yield tail, prev, sizes, reps
 
 
-def _sizes_reps(k: int, tail: np.ndarray, num: int, new_num: int, sizes, reps):
-    """Each class's size and minimal rank in S_k from the tail nodes, one
-    first digit d at a time: node ``d * num + c`` holds sizes[c] ranks, the
-    least ``d * (k-1)! + reps[c]``.  Ids follow minimal node, so the
-    classes first met in block d take the next ids, at the steps of the
-    running max."""
-    sizes_k = np.zeros(new_num, dtype=np.int64)
-    reps_k = np.empty(new_num, dtype=np.int64)
-    top = -1
+def _sizes_reps(k: int, tail: np.ndarray, num: int, roots: np.ndarray, sizes, reps):
+    """Each class's size and minimal rank in S_k from the tail nodes: node
+    ``d * num + c`` holds sizes[c] ranks, the least ``d * (k-1)! +
+    reps[c]``.  Class j's minimal node is its root roots[j], a tail node,
+    and tail node order is minimal-rank order, so its minimal rank is that
+    of its root; the sizes add up one first digit d at a time."""
+    reps_k = np.multiply(roots // num, factorial(k - 1), dtype=np.int64)
+    reps_k += reps[roots % num]
+    sizes_k = np.zeros(len(roots), dtype=np.int64)
     for d in range(k):
-        block = tail[d * num : (d + 1) * num]
-        np.add.at(sizes_k, block, sizes)
-        run = np.maximum(np.maximum.accumulate(block), top)
-        first = np.flatnonzero(np.diff(run, prepend=top))
-        reps_k[top + 1 : top + 1 + len(first)] = reps[first] + d * factorial(k - 1)
-        top = int(run[-1])
+        np.add.at(sizes_k, tail[d * num : (d + 1) * num], sizes)
     return sizes_k, reps_k
 
 
@@ -433,11 +465,21 @@ def _next_level(level, before, moves, admit, size) -> np.ndarray:
     for lo in range(0, len(level), batch):
         ranks = level[lo : lo + batch, None]
         step = deltas[offset + (ranks // stride) % radix]
-        cand = np.unique((ranks[:, :, None] + step)[step != 0])
+        cand = _sorted_unique((ranks[:, :, None] + step)[step != 0])
         cand = cand[~(_isin_sorted(cand, level) | _isin_sorted(cand, before))]
-        new = np.union1d(new, cand) if lo else cand
+        new = _sorted_unique(np.concatenate([new, cand])) if lo else cand
         admit(size + len(new))
     return new
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, sorted: np.unique without its import of
+    numpy.ma (15 ms on first use), which a one-query process would pay."""
+    x = np.sort(x)
+    keep = np.empty(len(x), dtype=np.bool_)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def _isin_sorted(x: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
@@ -481,8 +523,9 @@ def count_banned_avoiders(n: int, c: int, banned: np.ndarray) -> int:
 
 def connected_class_ids(total: int, batches: Iterable):
     """Connected components of the nodes 0..total-1 under the edges of
-    every (src, dst) batch, as (ids, num): ids follow each component's
-    minimal node.
+    every (src, dst) batch, as (ids, num, roots): ids follow each
+    component's minimal node, num counts the components and roots[j] is
+    the minimal node of component j (int32, increasing).
 
     One int32 root array, root[x] <= x, is closed batch by batch: map the
     batch's ends to their roots, keep the edges whose roots differ, hook
@@ -505,6 +548,8 @@ def connected_class_ids(total: int, batches: Iterable):
                 if np.array_equal(jumped, root):
                     break
                 root = jumped
-    is_root = root == np.arange(total, dtype=np.int32)
+    nodes = np.arange(total, dtype=np.int32)
+    is_root = root == nodes
     ids = np.cumsum(is_root, dtype=np.int32) - 1
-    return ids[root], int(np.count_nonzero(is_root))
+    roots = nodes[is_root]
+    return ids[root], len(roots), roots

@@ -29,16 +29,14 @@ from ..relation import ReplacementPartition
 @dataclass(frozen=True)
 class PatternTables:
     c: int
-    pat_onel: np.ndarray  # (c!, c) int64 one-line letters
     partners: tuple[tuple[int, tuple[int, ...]], ...]  # (D id, U ids) a part, by D id
 
 
 def build_tables(partition: ReplacementPartition) -> PatternTables:
     c = partition.c
-    pat_onel = np.array(list(perms.all_perms(c)), dtype=np.int64).reshape(factorial(c), c)
     ids = (sorted(perms.rank(p) for p in part) for part in partition.nontrivial_parts)
     partners = tuple(sorted((d, tuple(us)) for d, *us in ids))
-    return PatternTables(c=c, pat_onel=pat_onel, partners=partners)
+    return PatternTables(c=c, partners=partners)
 
 
 def banned_mask(c: int, patterns) -> np.ndarray:

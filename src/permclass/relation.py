@@ -99,19 +99,27 @@ def make_partition(
     c: int | None = None,
     allow_large_c: bool = False,
 ) -> ReplacementPartition:
-    """Build a partition from its nontrivial parts, canonicalizing order."""
+    """Build a partition from its nontrivial parts, canonicalizing order;
+    a part of a single pattern warns and is treated as trivial."""
+    partition, singles = _canonical_partition(nontrivial_parts, c, allow_large_c)
+    _warn_singles(singles, stacklevel=3)
+    return partition
+
+
+def _canonical_partition(
+    nontrivial_parts: Iterable[Iterable[Sequence[int]]], c: int | None, allow_large_c: bool
+) -> tuple[ReplacementPartition, tuple[Perm, ...]]:
+    """make_partition's partition and the patterns of its single-pattern
+    parts, which the caller warns about."""
     parts = []
+    singles = []
     seen: dict[Perm, int] = {}
     for part in nontrivial_parts:
         pats = sorted(perms.as_perm(p) for p in part)
         if not pats:
             continue
         if len(pats) == 1:
-            warnings.warn(
-                f"part {{{perms.format_perm(pats[0])}}} has a single pattern; "
-                "treating it as trivial",
-                stacklevel=2,
-            )
+            singles.append(pats[0])
             continue
         if len(set(pats)) != len(pats):
             raise PartitionParseError(f"duplicate pattern inside a part: {pats}")
@@ -136,7 +144,17 @@ def make_partition(
             f"pattern length {c} exceeds the limit {MAX_PATTERN_LEN}; only the library"
             " argument allow_large_c=True of make_partition/parse_partition lifts it"
         )
-    return ReplacementPartition(c=c, nontrivial_parts=tuple(sorted(parts)))
+    return ReplacementPartition(c=c, nontrivial_parts=tuple(sorted(parts))), tuple(singles)
+
+
+def _warn_singles(singles: tuple[Perm, ...], stacklevel: int) -> None:
+    """Warn, at the given stack level of the caller, of each part that has a
+    single pattern."""
+    for p in singles:
+        warnings.warn(
+            f"part {{{perms.format_perm(p)}}} has a single pattern; treating it as trivial",
+            stacklevel=stacklevel,
+        )
 
 
 def singleton_partition(c: int) -> ReplacementPartition:
@@ -148,7 +166,18 @@ _BRACE_GROUP = re.compile(r"\{([^{}]*)\}")
 
 
 def parse_partition(text: str, allow_large_c: bool = False) -> ReplacementPartition:
-    """Parse the brace-group abbreviation, e.g. ``{123,321}{132,231}``."""
+    """Parse the brace-group abbreviation, e.g. ``{123,321}{132,231}``.
+
+    Memoized per (text, allow_large_c): a session asks for the same few
+    relations request after request.  A bad text raises, and a part of a
+    single pattern warns, on every call."""
+    partition, singles = _parsed_partition(text, allow_large_c)
+    _warn_singles(singles, stacklevel=2)
+    return partition
+
+
+@lru_cache(maxsize=128)
+def _parsed_partition(text: str, allow_large_c: bool) -> tuple[ReplacementPartition, tuple[Perm, ...]]:
     s = re.sub(r"\s+", "", text)
     if not s:
         raise PartitionParseError("empty partition text")
@@ -166,7 +195,7 @@ def parse_partition(text: str, allow_large_c: bool = False) -> ReplacementPartit
     lens = {len(p) for part in parts for p in part}
     if len(lens) != 1:
         raise PartitionParseError(f"mixed pattern lengths: {sorted(lens)}")
-    return make_partition(parts, c=lens.pop(), allow_large_c=allow_large_c)
+    return _canonical_partition(parts, lens.pop(), allow_large_c)
 
 
 @dataclass(frozen=True)

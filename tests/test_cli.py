@@ -465,6 +465,29 @@ def test_count_does_not_import_scipy():
     assert out.stderr == "[]\n"
 
 
+_NO_NUMPY_MA = """
+import sys
+from permclass import cli, engine
+
+assert cli.main(["verify", "--n-max", "4"]) == 0
+assert cli.main(["classes", "--partition", "{132,231}{213,312}", "--perm", "31426587"]) == 0
+(answer,) = engine._class_of_cache.values()
+assert isinstance(answer, int), answer  # the rank BFS answered, with no S_8 kept
+print("numpy.ma" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_verify_and_a_bfs_query_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, 15 ms that a one-query
+    # process would spend on its first BFS level
+    src = os.path.dirname(os.path.dirname(permclass.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA], env=env,
+                         capture_output=True, text=True, check=True)
+    assert "31426587" in out.stdout
+    assert out.stderr == "False\n"
+
+
 _MIXED = [
     ("count", "--partition", "{123,132,231}", "--n", "5"),
     ("classes", "--partition", "{132,231}{213,312}", "--perm", "13254"),

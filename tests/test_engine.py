@@ -232,8 +232,7 @@ def _clique_tables(K):
     for part in K.nontrivial_parts:
         ids = sorted(perms.rank(p) for p in part)
         partners += [(t, tuple(ids[a + 1 :])) for a, t in enumerate(ids[:-1])]
-    return PatternTables(c=K.c, pat_onel=build_tables(K).pat_onel,
-                         partners=tuple(sorted(partners)))
+    return PatternTables(c=K.c, partners=tuple(sorted(partners)))
 
 
 @pytest.mark.parametrize("key", [
@@ -355,9 +354,11 @@ def _multigraphs(draw):
 def test_connected_class_ids_match_csgraph(graph):
     total, batches = graph
     expected, expected_num = _csgraph_class_ids(total, *_concat(batches))
-    ids, num = kn.connected_class_ids(total, iter(batches))
+    ids, num, roots = kn.connected_class_ids(total, iter(batches))
     assert ids.dtype == np.int32
     assert np.array_equal(ids, expected) and num == expected_num
+    # roots[j]: the first (minimal) node of component j
+    assert np.array_equal(roots, [np.flatnonzero(ids == j)[0] for j in range(num)])
 
 
 def test_connected_class_ids_independent_of_batch_order():
@@ -370,14 +371,14 @@ def test_connected_class_ids_independent_of_batch_order():
     edges = rng.integers(0, 500, size=(20, 2, 15)).astype(np.int32)
     cases.append((500, [(s, d) for s, d in edges]))
     for total, batches in cases:
-        ids, num = kn.connected_class_ids(total, batches)
+        ids, num, _ = kn.connected_class_ids(total, batches)
         for _ in range(3):
             swapped = []
             for i in rng.permutation(len(batches)):
                 src, dst = batches[i]
                 flip = rng.random(len(src)) < 0.5
                 swapped.append((np.where(flip, dst, src), np.where(flip, src, dst)))
-            other, other_num = kn.connected_class_ids(total, swapped)
+            other, other_num, _ = kn.connected_class_ids(total, swapped)
             assert np.array_equal(ids, other) and num == other_num
 
 
@@ -1017,6 +1018,50 @@ def test_digit_rule_lemma_to_n20(data):
         target[j] = letters[x]
     rule[0, cols] = np.sort(rule[0, cols])[list(q)]
     assert perms.rank(target) == pre * factorial(m) + int(_local_index(rule, m)[0]) * stride + suf
+
+
+@pytest.mark.parametrize("c", [2, 3, 4])
+def test_window_pairs_memoized_match_fresh(c):
+    # every rewrite of the registered relations (c=3), of {12,21} and of
+    # the c=4 relations, at the first window of m = c..10 letters: the
+    # cached pairs are read-only, the same arrays on every call, and equal
+    # a computation with no cache and the source locs of pattern d, their
+    # letters rewritten to pattern u and ranked by _local_index
+    keys = {2: ["{12,21}"], 3: list(oracle.ROWS_BY_KEY), 4: list(_C4_KEYS)}[c]
+    rewrites = sorted({(d, u) for key in keys
+                       for d, us in build_tables(relation.parse_partition(key)).partners
+                       for u in us})
+    onel = _unrank_table(c) - 1  # row t: the letters of pattern t
+    for m in range(c, 11):
+        letters = np.array([_loc_letters(loc, m, c) for loc in range(factorial(m) // factorial(m - c))])
+        pid = _lehmer_ranks(letters)
+        for d, u in rewrites:
+            a, b = kn._window_pairs(m, c, d, u)
+            again = kn._window_pairs(m, c, d, u)
+            assert again[0] is a and again[1] is b
+            fresh = kn._window_pairs.__wrapped__(m, c, d, u)
+            assert np.array_equal(a, fresh[0]) and np.array_equal(b, fresh[1])
+            rows = np.flatnonzero(pid == d)
+            moved = np.sort(letters[rows], axis=1)[:, onel[u]]
+            assert np.array_equal(a, rows) and np.array_equal(b, _local_index(moved, m)), (m, d, u)
+            for arr in (a, b):
+                with pytest.raises(ValueError):
+                    arr[:1] = 0
+
+
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_step_sizes_and_reps_match_class_ids(mode):
+    # each step's class sizes and minimal ranks, read off the closure's
+    # roots, against the class ids of S_n: their counts and the first rank
+    # of each id, for every registered relation and {1234,4321}, n <= 8
+    for key in [*oracle.ROWS_BY_KEY, "{1234,4321}"]:
+        decs = engine.decompositions(range(1, 9), relation.parse_partition(key), mode)
+        for dec in decs:
+            ids, first = np.unique(dec.class_id, return_index=True)
+            assert np.array_equal(ids, np.arange(dec.num_classes)), (key, dec.n)
+            assert np.array_equal(dec.class_sizes, np.bincount(dec.class_id)), (key, dec.n)
+            assert np.array_equal(dec.rep_ranks, first), (key, dec.n)
+        assert dec.n == 8
 
 
 def test_hit_any_matches_scan():

@@ -49,6 +49,21 @@ def test_parse_singleton_listed_part_warns():
     assert K.nontrivial_parts == (((1, 2, 3), (3, 2, 1)),)
 
 
+def test_parse_partition_is_memoized():
+    # the same text gives the same partition object; a bad text raises and
+    # a single-pattern part warns on every call, not only the first
+    K = relation.parse_partition("{123,321}{132,231}")
+    assert relation.parse_partition("{123,321}{132,231}") is K
+    assert relation.parse_partition("{123,321}{132,231}", allow_large_c=True) == K
+    for _ in range(2):
+        with pytest.raises(PartitionParseError, match="mixed pattern lengths"):
+            relation.parse_partition("{123,4321}")
+        with pytest.raises(PartitionParseError, match="exceeds the limit"):
+            relation.parse_partition("{1234567,2134567}")
+        with pytest.warns(UserWarning, match=r"part \{132\} has a single pattern"):
+            assert relation.parse_partition("{123,321}{132}").nontrivial_parts == (((1, 2, 3), (3, 2, 1)),)
+
+
 def test_d_and_u_sets(knuth_like):
     assert knuth_like.D == ((1, 2, 3), (1, 3, 2))
     assert set(knuth_like.U) == {(3, 2, 1), (2, 3, 1)}
