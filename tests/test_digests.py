@@ -30,12 +30,15 @@ ARRAYS = ("class_id", "rep_ranks", "class_sizes")
 
 def cases() -> list[tuple[str, str, list[int]]]:
     """(mode, partition, ns): every registered row and Figure 2, factor
-    mode to n=9 and subword mode to n=8, subword n=9 for one relation, and
-    factor n=10 for Figure 2 and one relation."""
+    mode to n=9 and subword mode to n=8, subword n=9 for four relations
+    and n=10 for two of them, and factor n=10 for Figure 2 and one
+    relation."""
     keys = [*oracle.ROWS_BY_KEY]
     out = [("factor", key, list(range(1, 10))) for key in keys]
     out += [("subword", key, list(range(1, 9))) for key in keys]
     out.append(("subword", "{123,132,213,231}", [9]))
+    out += [("subword", key, [n]) for key in ("{123,132}", "{123,321}{132,231}") for n in (9, 10)]
+    out.append(("subword", "{1234,4321}", [9]))
     out += [("factor", key, [10]) for key in (oracle.FIGURE2_KEY, "{123,132,213,231}")]
     return out
 
