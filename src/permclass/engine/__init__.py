@@ -169,42 +169,44 @@ def estimate_bytes(
     n: int,
     mode: Mode = "factor",
     partition: ReplacementPartition | None = None,
-    classes: int = 1,
+    classes: Sequence[int] = (),
 ) -> int:
-    """Rough peak memory of enumerate_classes, from the step that closes S_n
-    over the given number of classes of S_{n-1} (1, the fewest, by
-    default; decompositions checks again before that step, when the number
-    is known).
+    """Rough peak memory of enumerate_classes, from the step that closes S_n,
+    given the class counts C_1, ..., C_{n-1} that the closure has found
+    (classes[k-1] for S_k; a count not given is charged as 1, the fewest:
+    decompositions checks again before that step, when they are known).
+    Without a partition the single part of all of S_3 is charged.
 
-    The edges come from ``kernels_numpy.factor_step_edges``: the first
-    window's edges of S_n, e = sum (|part| - 1) / c! a rank (each part
-    joined by a star from its D pattern, ``tables.build_tables``), and the
-    most that one factor batch holds.  Without a partition the single part
-    of all of S_3 is charged, 5/6 of an edge a rank.
-
-    Both modes charge 40 B a node (n * classes tail nodes, and as many head
+    Both modes charge 40 B a node (n * C_{n-1} tail nodes, and as many head
     nodes in subword mode): the root array and its pointer jumps, the
     numbered ids, and each class's int32 root and int64 size and minimal
-    rank (every class has a tail node).  Factor
-    mode also holds the int32 class ids of S_{n-1} (4 B a rank of S_{n-1})
-    and one batch of the first window's edges, 24 B an edge (the node pair,
-    its root images and the closure's filtered copies).
+    rank.  Factor mode also holds the int32 ids of S_{n-1} and the most
+    edges one batch of the first window holds
+    (``kernels_numpy.factor_step_edges``), 24 B an edge: the node pair,
+    its root images and the closure's filtered copies.
 
-    Subword mode holds per rank the column-major letters of S_n (n B), the
-    int32 node array and one index set's pattern ids, with its source rows
-    and their interleave code, and the head and last arrays of S_{n-1},
-    n + 14 B together, and one index set's edges through both ends (e a
-    rank, as many as the first window's) or one join slice (1/n a rank),
-    24 B an edge (its int32 local pairs, which are its rank edges, their
-    node images and the closure's copies).
+    Subword mode (kernels_numpy.class_steps) holds either the gather of the
+    int32 ids of S_{n-1}, a strided result and its contiguous copy, beside
+    the ids of S_{n-2}; or those ids, the nodes and one batch: the join,
+    n * (n-1) * C_{n-2} rows of 40 B (the node pair, the gathers it is made
+    from and the closure's copies), or an index set through both ends,
+    C(n, c) * C_{n-c} rows a pattern of 56 B (the shared code, one
+    pattern's ranks and nodes) and 40 B for each edge (the partner's
+    nodes, the pair and the closure's copies).  1 MiB more covers what the
+    interpreter and the allocator add over a step: 3.1 MB of arrays grow
+    the peak by up to 3.4 MB at n=10 when few classes leave only the ids.
     """
     if partition is None:
         partition = relation.make_partition([list(perms.all_perms(3))])
-    edges, batch = kernels_numpy.factor_step_edges(n, build_tables(partition))
+    tab = build_tables(partition)
+    count = [1, *classes[: n - 1], *[1] * n]  # count[k]: C_k, 1 where not given (C_0 = 1)
+    nodes = n * count[n - 1]
     if mode == "factor":
-        return 40 * n * classes + 4 * factorial(n - 1) + 24 * batch
-    nodes = 2 * n * classes
-    return 40 * nodes + factorial(n) * (n + 14) + 24 * max(edges, factorial(n - 1))
+        return 40 * nodes + 4 * factorial(n - 1) + 24 * kernels_numpy.factor_step_edges(n, tab)[1]
+    rows = math.comb(n, tab.c) * count[n - tab.c] if tab.c <= n else 0
+    ends = rows * (56 + 40 * sum(len(us) for _, us in tab.partners))
+    held = 4 * factorial(n - 1) + 80 * nodes + max(40 * n * (n - 1) * count[max(n - 2, 0)], ends)
+    return max(4 * factorial(max(n - 2, 0)) + 8 * factorial(n - 1), held) + (1 << 20)
 
 
 def _limits(n: int, mode: Mode, partition: ReplacementPartition, allow_large: bool) -> list:
@@ -232,9 +234,9 @@ def _limits(n: int, mode: Mode, partition: ReplacementPartition, allow_large: bo
 
 
 def _check(n: int, mode: Mode, partition: ReplacementPartition, limits: list,
-           classes: int) -> None:
-    """Refuse the estimate of S_n over the given classes of S_{n-1} past
-    any of the limits; with none, no estimate is computed."""
+           classes: Sequence[int]) -> None:
+    """Refuse the estimate of S_n over the given class counts of S_1, ...,
+    S_{n-1} past any of the limits; with none, no estimate is computed."""
     if limits:
         est = estimate_bytes(n, mode, partition, classes)
         for limit, what in limits:
@@ -290,11 +292,12 @@ def decompositions(
     is the step of kernels_numpy.class_steps that closes S_n.
 
     Each n is checked as enumerate_classes(n) checks it, in the same
-    order: its bound and estimate over one class of S_{n-1} before the
+    order: its bound and estimate over one class of each S_k before the
     pass for the first n, and right after the previous n is yielded for
-    the others, then the estimate over the classes of S_{n-1} before its
-    step.  So a refusal comes at the first n that fails, and nothing past
-    the n a caller last asked for is closed or checked.
+    the others, then the estimate over the class counts of S_1, ...,
+    S_{n-1} before its step.  So a refusal comes at the first n that
+    fails, and nothing past the n a caller last asked for is closed or
+    checked.
     """
     if mode not in DEFAULT_MAX_N:
         raise ValueError(f"unknown mode {mode!r}; expected 'factor' or 'subword'")
@@ -303,10 +306,12 @@ def decompositions(
     if ns.step != 1 or ns[0] < 1:
         raise ValueError(f"decompositions need n >= 1 in steps of 1, got {ns}")
     limits = _limits(ns[0], mode, partition, allow_large)
-    _check(ns[0], mode, partition, limits, 1)
+    _check(ns[0], mode, partition, limits, ())
     text = partition.text()
     steps = kernels_numpy.class_steps(ns[-1], build_tables(partition), mode)
+    counts = []  # C_1, C_2, ...: the class counts of each S_k closed
     for n, (tail, prev, sizes, rep_ranks) in enumerate(steps, 1):
+        counts.append(len(sizes))
         if n in ns:
             for arr in (tail, prev, sizes, rep_ranks):
                 arr.flags.writeable = False
@@ -322,8 +327,8 @@ def decompositions(
         if n + 1 in ns:
             if n + 1 > ns[0]:
                 limits = _limits(n + 1, mode, partition, allow_large)
-                _check(n + 1, mode, partition, limits, 1)
-            _check(n + 1, mode, partition, limits, len(sizes))
+                _check(n + 1, mode, partition, limits, ())
+            _check(n + 1, mode, partition, limits, counts)
 
 
 # Most entries of a cached factor move table (32 MiB of int64).  A table

@@ -1,31 +1,21 @@
 """numpy kernels of the enumeration engine.
 
-Both modes read their edges from the Lehmer-digit grid.  The rank of p in
-S_n is a mixed-radix number whose digit j (radix n-j) counts the later
-letters smaller than p_j.  A rewrite at the index set idx permutes the
-letters at idx; let i = idx[0], span = idx[-1] - i + 1 and m = n - i.
-The rank splits as ``pre * m! + loc * (m-span)! + suf``: pre reads the
-digits before position i, loc the span digits from i on, suf the digits
-after idx[-1].  The rewrite changes loc alone, as a function of loc
-alone: loc fixes the first span letters of the last m, standardized
-(``window_letters``), and the rewrite permutes some of them, while the
-letters before i and after idx[-1] keep the set of letters after them.
-So a local rule over the m!/(m-span)! values of loc gives every edge of a
-window (factor mode, span = c) or an index set (subword mode) by
-broadcasting over (pre, loc, suf); ``window_hits`` reads the hits of
-factor windows, and so the avoiders, off the same grid.  Subword mode
-only rewrites at index sets through the first and the last position,
-whose span is all k letters, so their local rule is S_k itself
-(``perm_table(k)``), built once per k, and their local pairs are their
-rank edges.  The letters of a local rule are kept
-column-major, one contiguous int8 row per letter position: the pattern
-at an index set reads c of those rows, and a rewrite's target loc is its
-own loc plus a delta read off the letters it moves and how the other
-letters interleave with them (``_rewrite_pairs``), so no row of letters
-is copied or re-ranked.  A window's local pairs depend on m, c and the
-rewrite's two patterns alone, so they are computed once per process
-(``_window_pairs``) and shared by every step, relation and call that
-asks for them.
+Factor edges are read from the Lehmer-digit grid.  The rank of p in S_n
+is a mixed-radix number whose digit j (radix n-j) counts the later
+letters smaller than p_j.  A rewrite at the window of c positions from i
+permutes the letters there; with m = n - i the rank splits as ``pre * m!
++ loc * (m-c)! + suf``: pre reads the digits before position i, loc the c
+digits from i on, suf the rest.  The rewrite changes loc alone, as a
+function of loc alone: loc fixes the first c letters of the last m,
+standardized (``window_letters``), and the letters before and after the
+window keep the set of letters after them.  So a local rule over the
+m!/(m-c)! values of loc gives every edge of a window by broadcasting over
+(pre, loc, suf); ``window_hits`` reads the hits of windows, and so the
+avoiders, off the same grid.  The letters of a local rule are kept
+column-major, one contiguous int8 row per letter position, and a
+rewrite's target loc is its own loc plus a delta read off the letters it
+moves (``_window_pairs``, once per process), so no row of letters is
+copied or re-ranked.
 
 ``class_steps`` closes the edges of either mode one letter at a time, from
 S_1, and yields the classes of each S_k as it closes them, so a request
@@ -33,20 +23,22 @@ for several n is one pass over the steps, up to the largest; a step runs
 only when asked for, so the caller checks its bounds between yields.  A
 rewrite that leaves the first letter alone acts on the rank of the other
 letters only, so each step closes the rewrites through position 0 over
-the classes of the step before.  In subword mode a rewrite that
-leaves the last letter alone acts on the rank of the first letters only,
-so the step joins the two closures and adds only the index sets through
-both ends.  ``connected_class_ids`` closes a step's edges one batch at a
-time by root hooking and pointer jumping over one int32 root array, so no
-step holds more than one batch's edges; each class's root is its minimal
-node, a tail node, so its minimal rank is read off its root and its size
-off the step's nodes.  A factor step's batch is the first
-window's local pairs (``factor_edges``), the whole step if it has at
-most _BATCH_EDGES edges, else one first digit at a time, mapped to nodes
-straight from rows of the class ids of the step before, so factor mode
-builds no k!-sized array; subword batches are one join slice or one
-index set.  The ids of S_k are left as the step's tail nodes and the ids
-of S_{k-1}, for the caller to gather if it needs them.
+the classes of the step before.  In subword mode a rewrite that leaves
+the last letter alone acts on the rank of the first letters only, so the
+step joins the two closures and adds only the index sets through both
+ends, each from one row per class of the letters its rewrites leave
+alone (``_join_edges``, ``subword_edges``).  ``connected_class_ids``
+closes a step's edges one batch at a time by root hooking and pointer
+jumping over one int32 root array, so no step holds more than one
+batch's edges; each class's root is its minimal node, a tail node, so
+its minimal rank is read off its root and its size off the step's nodes.
+A factor step's batch is the first window's local pairs
+(``factor_edges``), the whole step if it has at most _BATCH_EDGES edges,
+else one first digit at a time, mapped to nodes straight from rows of
+the class ids of the step before; a subword batch is the join or one
+index set.  So neither mode builds a k!-sized array.  The ids of S_k are
+left as the step's tail nodes and the ids of S_{k-1}, for the caller to
+gather if it needs them.
 
 The same local rules give one class without the others: ``factor_moves``
 turns every window's local pairs into rank deltas, and ``class_ranks``
@@ -97,10 +89,8 @@ def window_letters(m: int, span: int) -> np.ndarray:
     each value of their digits loc, column-major: a (span, m!/(m-span)!)
     array whose row j holds letter j of every loc, contiguous, and whose
     column loc has digits reading loc (the transposed span-prefixes of S_m
-    in lexicographic order).  Every (m, span) is cached in this one layout:
-    factor mode asks for the same windows on every call, and subword mode
-    for one full span a step (all of S_m, m * m! bytes: 3.3 MB at m=9,
-    36 MB at m=10)."""
+    in lexicographic order), cached: factor mode asks for the same windows
+    (span c) on every call, and the engine asks for no wider span."""
     cols = perm_table(m, span).T
     cols -= 1
     cols.flags.writeable = False
@@ -128,19 +118,12 @@ def window_pattern_ids(m: int, c: int) -> np.ndarray:
     return pid
 
 
-def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarray, np.ndarray]:
-    """The local edges (a, b) of the rewrites at the columns cols of the
-    first span letters of S_m, as int32 loc arrays: a is a loc whose
-    pattern at cols has partners (a part's D pattern, ``build_tables``),
-    b the loc rewritten to one of them.  A window (span c) reads each
-    rewrite's pairs off ``_window_pairs``; an index set of a wider span
-    computes its own (``_rewrite_pairs``)."""
-    if span == tab.c:
-        pairs = [_window_pairs(m, span, d, u) for d, us in tab.partners for u in us]
-    else:
-        letters = window_letters(m, span)
-        pid = _pattern_ids([letters[j] for j in cols])
-        pairs = [pair for d, us in tab.partners for pair in _rewrite_pairs(m, span, cols, pid, d, us)]
+def _local_pairs(m: int, tab: PatternTables) -> tuple[np.ndarray, np.ndarray]:
+    """The local edges (a, b) of the rewrites at the first window (c
+    letters) of S_m, as int32 loc arrays: a is a loc whose pattern has
+    partners (a part's D pattern, ``build_tables``), b the loc rewritten to
+    one of them, read off ``_window_pairs``."""
+    pairs = [_window_pairs(m, tab.c, d, u) for d, us in tab.partners for u in us]
     none = np.empty(0, dtype=np.int32)
     return (np.concatenate([none, *(a for a, _ in pairs)]),
             np.concatenate([none, *(b for _, b in pairs)]))
@@ -148,92 +131,119 @@ def _local_pairs(m: int, span: int, cols, tab: PatternTables) -> tuple[np.ndarra
 
 @lru_cache(maxsize=None)
 def _window_pairs(m: int, c: int, d: int, u: int) -> tuple[np.ndarray, np.ndarray]:
-    """The local pairs of the rewrite from pattern d to pattern u at the
-    first window (c letters) of S_m, cached read-only per (m, c, d, u) as
-    window_letters is: the closure, ``factor_step_edges`` and
+    """The local pairs (a, b) of the rewrite from pattern d to pattern u at
+    the first window (c letters) of S_m, cached read-only per (m, c, d, u)
+    as window_letters is: the closure, ``factor_step_edges`` and
     ``factor_moves`` ask for the same windows on every call, and relations
     that share a rewrite share its pairs.  A pair holds 8 B for each of the
-    m!/(m-c)!/c! locs of pattern d (1.8 KB at m=12, c=3); subword's index
-    sets through both ends, whose span is all m letters, are not kept."""
-    ((a, b),) = _rewrite_pairs(m, c, range(c), window_pattern_ids(m, c), d, (u,))
+    m!/(m-c)!/c! locs of pattern d (1.8 KB at m=12, c=3).
+
+    The loc of letters L_0..L_{c-1} is ``sum_j (L_j - E_j) * w_j``, where
+    E_j counts the earlier letters below L_j and w_j is the weight of digit
+    j.  The rewrite moves the letter at j to dest[j], where dest depends on
+    d and u alone, so b - a is the change in the moved letters' own terms,
+    linear in those letters, less the change in the E terms, which the two
+    patterns fix (the weighted inversions of the reversed letters).
+    """
+    letters = window_letters(m, c)
+    weight = [factorial(m - 1 - j) // factorial(m - c) for j in range(c)]
+    onel = window_letters(c, c)  # column t: the letters of pattern t
+    a = np.flatnonzero(window_pattern_ids(m, c) == d).astype(np.int32)
+    fixed = [int(_weighted_inversions(list(onel[::-1, t]), weight[::-1])) for t in (d, u)]
+    b = a + (fixed[0] - fixed[1])
+    for j, t in enumerate(np.argsort(onel[:, u])[onel[:, d]]):
+        if t != j:
+            b += np.multiply(letters[j][a], weight[t] - weight[j], dtype=np.int32)
     a.flags.writeable = b.flags.writeable = False
     return a, b
 
 
-def _rewrite_pairs(m: int, span: int, cols, pid: np.ndarray, d: int, us) -> list:
-    """The local pairs (a, b) of the rewrites from pattern d to each
-    pattern of us at the columns cols of the first span letters of S_m,
-    whose pattern ids are pid, one (a, b) of int32 loc arrays per u.
-
-    The loc of letters L_0..L_{span-1} is ``sum_j (L_j - E_j) * w_j``, where
-    E_j counts the earlier letters below L_j and w_j is the weight of digit
-    j.  The rewrite from pattern d to pattern u moves the letter at cols[i]
-    to cols[dest[i]], where dest depends on d and u alone, and keeps every
-    other letter.  So b - a is the change in the moved letters' own terms,
-    linear in those letters, less the change in the E pairs with an end at
-    cols, which depends only on how many moved letters lie below each
-    other letter: a table (``_pair_weights``) over the code of
-    ``_interleave``.  The rows of pattern d are gathered one letter column
-    at a time, and the code is read off those rows alone; no row is copied
-    or ranked again.
-    """
-    letters = window_letters(m, span)
-    cols = list(cols)
-    others = [j for j in range(span) if j not in cols]
-    weight = [factorial(m - 1 - j) // factorial(m - span) for j in range(span)]
-    onel = window_letters(len(cols), len(cols))  # column t: the letters of pattern t
-    rows = np.flatnonzero(pid == d)
-    a = rows.astype(np.int32)
-    here = [letters[j][rows] for j in cols]
-    at = _interleave(here, [letters[j][rows] for j in others])
-    own = _pair_weights(onel[:, d], cols, others, weight)
-    pairs = []
-    for u in us:
-        dest = np.argsort(onel[:, u])[onel[:, d]]
-        b = a + (own - _pair_weights(onel[:, u], cols, others, weight)).astype(np.int32)[at]
-        for x, j, t in zip(here, cols, dest):
-            if cols[t] != j:
-                b += np.multiply(x, weight[cols[t]] - weight[j], dtype=np.int32)
-        pairs.append((a, b))
-    return pairs
+def _weighted_inversions(cols, weight: list, start=0):
+    """start plus the sum of weight[j] over the pairs j < l of the letter
+    columns cols with cols[l] < cols[j]: with weight[j] = (len(cols)-1-j)!,
+    the Lehmer rank of each row of the (broadcast) columns."""
+    for j, (x, w) in enumerate(zip(cols, weight)):
+        for y in cols[j + 1 :]:
+            start = start + w * (y < x)
+    return start
 
 
-def _interleave(moved: list, others: list) -> np.ndarray:
-    """For each row of the equal-length letter columns, the number of moved
-    letters below the letter in each column of others, read as one code in
-    radix len(moved) + 1."""
-    radix = len(moved) + 1
-    code = np.zeros(len(moved[0]), dtype=np.min_scalar_type(radix ** len(others) - 1))
-    for y in others:
-        code *= radix
-        for x in moved:
-            code += x < y
-    return code
+def _join_edges(k: int, cls: np.ndarray, num: int, reps: np.ndarray):
+    """The join of S_k (class_steps) as (tail node, head node) pairs, one
+    per first letter a, last letter z and class of S_{k-2} for the letters
+    between, with minimal rank reps (rho).  The tail is rho, its letters
+    from z' = z - [a < z] up raised by one, then z': its digits are rho's
+    plus one for each such letter.  The head is a' = a - [z < a], then rho,
+    of rank ``a' * (k-2)! + rho``.  So the class ids cls of S_{k-1} are read
+    over (z', rho) and (a', rho), and the k * (k-1) pairs (a, z') gather
+    rows of them."""
+    rho = unrank(reps, k - 2).T - 1  # row i: letter i of every representative
+    w = [factorial(k - 2 - i) for i in range(k - 2)]
+    zs = np.arange(k - 1, dtype=np.int8)[:, None]
+    t = _weighted_inversions(rho, w, np.zeros((k - 1, len(reps)), dtype=np.int64))
+    tails = cls[sum((wi * (x >= zs) for x, wi in zip(rho, w)), t)]
+    heads = cls[np.arange(k - 1)[:, None] * factorial(k - 2) + reps]
+    a, zp = np.divmod(np.arange(k * (k - 1), dtype=np.int32), k - 1)
+    src = (a * num)[:, None] + tails[zp]
+    dst = ((k + zp + (zp >= a)) * num)[:, None] + heads[a - (zp < a)]
+    return src.ravel(), dst.ravel()
 
 
-def _pair_weights(ranks: np.ndarray, cols: list, others: list, weight: list) -> np.ndarray:
-    """The sum of w_j over the pairs k < j of letters with L_k < L_j and k
-    or j in cols, where the letter at cols[i] has rank ranks[i] among the
-    letters at cols, as a table over the code of ``_interleave``.  With R
-    moved letters below L_j, j not in cols, the letter at cols[i] lies
-    below L_j iff ranks[i] < R."""
-    c = len(cols)
-    fixed = sum(weight[cols[y]] for x in range(c) for y in range(x + 1, c) if ranks[x] < ranks[y])
-    table = np.full(1, fixed, dtype=np.int64)
-    below = ranks[:, None] < np.arange(c + 1)  # [i, R]: cols[i]'s letter below L_j
-    pos = np.array(cols)[:, None]
-    own = np.array([weight[j] for j in cols])[:, None]
+def _rest_codes(k: int, c: int, reps: np.ndarray):
+    """(sig, code) shared by the index sets through both ends of S_k: row j
+    of sig holds letter j of each class representative (minimal ranks
+    reps) of S_{k-c}, and code[v, s] reads, for each letter of
+    representative s placed over the letters outside the v-th value set of
+    c letters, how many of that set lie below it, in radix c + 1."""
+    sig = unrank(reps, k - c).T - 1
+    below = np.array([[y - t for t, y in enumerate(sorted(set(range(k)).difference(v)))]
+                      for v in itertools.combinations(range(k), c)], dtype=np.int64)
+    code = np.zeros((len(below), len(reps)), dtype=np.int64)
+    for x in sig:
+        code = code * (c + 1) + below[:, x]
+    return sig, code
+
+
+def _code_ranks(weight: list, cols, others: list, ranks: np.ndarray) -> np.ndarray:
+    """The inversions (digit weights weight) with an end at cols, the
+    letter at cols[i] of rank ranks[i] among them, over the code of
+    ``_rest_codes``: the letter at j in others with R letters of cols below
+    it lies below the one at cols[i] iff R <= ranks[i]."""
+    own = [weight[i] for i in cols]
+    table = np.full(1, _weighted_inversions(list(ranks), own), dtype=np.int64)
+    above = ranks[:, None] >= np.arange(len(cols) + 1)  # [i, R]
+    pos, own = np.array(cols)[:, None], np.array(own)[:, None]
     for j in others:
-        term = np.where(pos < j, below * weight[j], ~below * own).sum(axis=0)
+        term = np.where(pos < j, above * own, ~above * weight[j]).sum(axis=0)
         table = (table[:, None] + term).ravel()
     return table
 
 
-def subword_edges(n: int, tab: PatternTables, idx):
-    """Undirected subword-transformation edges at an index set idx from
-    the first to the last position of S_n, as (src, dst) rank arrays: its
-    span is all n letters, so its local pairs are its rank edges."""
-    return _local_pairs(n, n, idx, tab)
+def subword_edges(k: int, tab: PatternTables, idx, rest, cls: np.ndarray, num: int):
+    """Undirected subword-transformation edges at an index set idx through
+    the first and the last position of S_k, as (src, dst) tail-node arrays
+    (class_steps): one row per rewrite, value set at idx arranged as its D
+    pattern, and class of S_{k-c} outside idx (rest: ``_rest_codes``).  A
+    rewrite outside idx keeps the letters at idx and the tail nodes of a
+    rank and of its image, so a class representative outside idx gives
+    every node pair.  A row's rank is the inversions outside idx plus
+    ``_code_ranks`` at its code; rank r has tail node ``(r // (k-1)!) *
+    num + cls[r % (k-1)!]``."""
+    weight = [factorial(k - 1 - j) for j in range(k)]
+    sig, code = rest
+    others = [j for j in range(k) if j not in idx]
+    inner = _weighted_inversions(sig, [weight[j] for j in others])
+    onel = window_letters(tab.c, tab.c)  # column t: the letters of pattern t
+
+    def nodes(p: int) -> np.ndarray:
+        ranks = _code_ranks(weight, idx, others, onel[:, p])[code] + inner
+        first, t = np.divmod(ranks, factorial(k - 1))
+        return (first * num + cls[t]).ravel()
+
+    pairs = [(a, nodes(u)) for d, us in tab.partners for a in [nodes(d)] for u in us]
+    none = np.empty(0, dtype=np.int64)
+    return (np.concatenate([none, *(a for a, _ in pairs)]),
+            np.concatenate([none, *(b for _, b in pairs)]))
 
 
 # Most window-0 edges a factor step closes in one batch.  A step within it
@@ -268,38 +278,38 @@ def class_steps(
     Subword mode splits the index sets through position 0 once more: those
     without position k-1 keep the last letter v and act on the first k-1
     letters as the same rewrite in S_{k-1}, so their closure maps r to the
-    head node ``k * C + v * C + cls[head[r]]`` (head[r]: the rank of the
-    first k-1 letters, standardized).  The step closes one join edge per
-    rank, tail node to head node, and the C(k-2, c-2) index sets through
-    both position 0 and k-1 over these 2 * k * C nodes.
+    head node ``k * C + v * C + cls[h]`` (h: the rank of the first k-1
+    letters, standardized).  The step joins each rank's tail and head
+    nodes and closes the C(k-2, c-2) index sets through positions 0 and
+    k-1 over these 2 * k * C nodes, from one row per class of the letters
+    that the other rewrites leave alone: of S_{k-2} between the first and
+    the last letter (``_join_edges``), and of S_{k-c} outside an index set
+    (``subword_edges``), read from the minimal ranks kept for the last c
+    steps.
 
     Tail node order is minimal-rank order and every head node meets a tail
-    node, so the ids of connected_class_ids follow minimal rank and each
-    class's root (its minimal node) is a tail node.  Tail node (d, c)
-    holds ``sizes[c]`` ranks, the least ``d * (k-1)! + reps[c]``: a class's
-    size adds up over its tail nodes, and its minimal rank is its root's
-    (``_sizes_reps``).  cls of S_{k-1}
-    is read off the tail and cls of the step before at the start of step
-    k, so the ids of S_k are never gathered; head and last (the last
-    letter, 0-based) are carried from step to step below n.
+    node through a join row, so the ids of connected_class_ids follow
+    minimal rank and each class's root (its minimal node) is a tail node.
+    Tail node (d, c) holds ``sizes[c]`` ranks, the least ``d * (k-1)! +
+    reps[c]``: a class's size adds up over its tail nodes, and its minimal
+    rank is its root's (``_sizes_reps``).  cls of S_{k-1} is read off the
+    tail and cls of the step before at the start of step k, so the ids of
+    S_k are never gathered.
     """
     tail = prev = np.zeros(1, dtype=np.int32)
     sizes, reps = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    head, last = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
+    kept = [reps, reps]  # subword: the minimal ranks of S_{k-c}, ..., S_{k-1}
     yield tail, prev, sizes, reps
     for k in range(2, n + 1):
         num = len(sizes)
         prev = tail.reshape(k - 1, -1)[:, prev].ravel()
         total = (k if mode == "factor" else 2 * k) * num
-        batches = _batches(k, tab, mode, prev, num, head, last)
+        batches = _batches(k, tab, mode, prev, num, kept)
         comp, _, roots = connected_class_ids(total, batches)
         tail = comp[: k * num]
-        if mode == "subword":
-            tail = tail.copy()  # a view would keep the step's head nodes alive
         sizes, reps = _sizes_reps(k, tail, num, roots, sizes, reps)
-        if mode == "subword" and k < n:
-            parts = [_head_last(k, d, head, last) for d in range(k)]
-            head, last = (np.concatenate(col) for col in zip(*parts))
+        if mode == "subword":  # a view would keep the step's head nodes alive
+            tail, kept = tail.copy(), [*kept, reps][-max(tab.c, 2) :]
         yield tail, prev, sizes, reps
 
 
@@ -317,32 +327,21 @@ def _sizes_reps(k: int, tail: np.ndarray, num: int, roots: np.ndarray, sizes, re
     return sizes_k, reps_k
 
 
-def _head_last(k: int, d: int, head: np.ndarray, last: np.ndarray):
-    """head and last of the ranks ``d * (k-1)! + t`` of S_k, from head and
-    last of the ranks t of S_{k-1}: the last letter w of t is w + [w >= d]
-    in S_k, and the first k-1 letters start with d - [w < d] and go on
-    with the first k-2 letters of t."""
-    below = last < d
-    return ((d - below) * factorial(k - 2) + head).astype(np.int32), last + ~below
-
-
-def _batches(k, tab, mode, cls, num, head, last) -> Iterator:
+def _batches(k, tab, mode, cls, num, kept) -> Iterator:
     """The edges of S_k left to close over its nodes (class_steps), as node
     pairs, one batch at a time: in factor mode the first window
-    (``_factor_batches``); in subword mode the join of each first digit's
-    tail and head nodes, then the index sets through positions 0 and k-1."""
+    (``_factor_batches``); in subword mode the join of tail and head nodes
+    over the classes of S_{k-2}, then each index set through positions 0
+    and k-1 over the classes of S_{k-c} (kept: their minimal ranks)."""
     if mode == "factor":
         if k >= tab.c:
             yield from _factor_batches(k, tab, cls, num)
         return
-    node = ((np.arange(k, dtype=np.int32) * num)[:, None] + cls).ravel()
-    block = len(head)
-    for d in range(k):
-        h, w = _head_last(k, d, head, last)
-        yield node[d * block : (d + 1) * block], cls[h] + (w.astype(np.int32) + k) * num
-    if tab.c >= 2:
+    yield _join_edges(k, cls, num, kept[-2])
+    if 2 <= tab.c <= k:
+        rest = _rest_codes(k, tab.c, kept[-tab.c])
         for mid in itertools.combinations(range(1, k - 1), tab.c - 2):
-            yield _through(node, subword_edges(k, tab, (0, *mid, k - 1)))
+            yield subword_edges(k, tab, (0, *mid, k - 1), rest, cls, num)
 
 
 def _first_window(k: int, tab: PatternTables):
@@ -350,7 +349,7 @@ def _first_window(k: int, tab: PatternTables):
     batches: one batch if the step's edges fit in _BATCH_EDGES, else the
     pairs sorted by a and one first digit a batch."""
     c = tab.c
-    a, b = _local_pairs(k, c, list(range(c)), tab)
+    a, b = _local_pairs(k, tab)
     if len(a) * factorial(k - c) <= _BATCH_EDGES:
         return a, b, [0, len(a)]
     order = np.argsort(a, kind="stable")
@@ -398,12 +397,6 @@ def _tail_nodes(loc: np.ndarray, rows: np.ndarray, num: int) -> np.ndarray:
     return ((first * num).astype(np.int32)[:, None] + rows[tail]).ravel()
 
 
-def _through(node: np.ndarray, edges) -> tuple[np.ndarray, np.ndarray]:
-    """The node images of a batch of rank edges; the rank edges are freed
-    on return, before the closure takes the batch."""
-    return node[edges[0]], node[edges[1]]
-
-
 def factor_moves(n: int, tab: PatternTables):
     """(offset, stride, radix, deltas): every factor rewrite of S_n as a
     rank delta, for ``class_ranks``.
@@ -424,7 +417,7 @@ def factor_moves(n: int, tab: PatternTables):
     offset = np.cumsum(radix) - radix
     deltas = np.zeros((int(radix.sum()), max(degree.values(), default=0)), dtype=np.int64)
     for i in windows:
-        a, b = _local_pairs(n - i, c, range(c), tab)
+        a, b = _local_pairs(n - i, tab)
         src, dst = np.concatenate([a, b]), np.concatenate([b, a])
         order = np.argsort(src, kind="stable")
         src, dst = src[order], dst[order]

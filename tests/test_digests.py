@@ -79,7 +79,7 @@ def test_factor_digests_hold_at_either_batch_budget(monkeypatch, budget):
     monkeypatch.setattr(kn, "_BATCH_EDGES", budget)
     tab = build_tables(relation.parse_partition(oracle.FIGURE2_KEY))
     # a local pair (a, b) of the first window of S_8 has first digit a // (7 * 6)
-    firsts = {int(a // 42) for a in kn._local_pairs(8, 3, [0, 1, 2], tab)[0]}
+    firsts = {int(a // 42) for a in kn._local_pairs(8, tab)[0]}
     batches = list(kn._factor_batches(8, tab, np.zeros(factorial(7), dtype=np.int32), 1))
     assert len(batches) == (len(firsts) if budget == 0 else 1)
     sizes = [len(src) for src, _ in batches]

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from collections import OrderedDict
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -145,23 +145,16 @@ def _edge_set(src, dst):
     return np.unique(pairs, axis=0)
 
 
-def _grid_edges(n, tab, idx):
-    """The rank edges of the rewrites at the index set idx, as (src, dst)
-    arrays ``pre * m! + loc * (m-span)! + suf`` over the local pairs
-    (a, b) of kn._local_pairs, broadcast over every (pre, suf)."""
-    i, m, span = idx[0], n - idx[0], idx[-1] - idx[0] + 1
-    local = kn._local_pairs(m, span, [j - i for j in idx], tab)
-    stride = factorial(m - span)
+def _window_edges(n, tab, i):
+    """The rank edges of the window at position i, as (src, dst) arrays
+    ``pre * m! + loc * (m-c)! + suf`` over the local pairs (a, b) of
+    kn._local_pairs, broadcast over every (pre, suf)."""
+    m = n - i
+    stride = factorial(m - tab.c)
     pre = np.arange(factorial(n) // factorial(m), dtype=np.int64) * factorial(m)
     suf = np.arange(stride, dtype=np.int64)
     return tuple((pre[:, None, None] + (loc.astype(np.int64) * stride)[:, None] + suf).ravel()
-                 for loc in local)
-
-
-def _window_edges(n, tab, i):
-    """The rank edges of the window at position i: those of the index set
-    of its c positions."""
-    return _grid_edges(n, tab, range(i, i + tab.c))
+                 for loc in kn._local_pairs(m, tab))
 
 
 def _table_edges(n, K, idx, star=False):
@@ -184,19 +177,30 @@ def _table_edges(n, K, idx, star=False):
     return _concat(batches)
 
 
+def _tail_nodes(ranks, dec):
+    """Tail node ``(r // (n-1)!) * C + ids[r % (n-1)!]`` of each rank r of
+    S_n, where dec holds the C classes of S_{n-1} and their ids."""
+    first, t = np.divmod(ranks, len(dec.class_id))
+    return first * dec.num_classes + dec.class_id[t]
+
+
 def test_backends_identical(knuth_like):
-    # The digit-grid edges of every window (index set) against the rows of
-    # a permutation table rewritten there to or from the part's D pattern,
-    # each window's and both-ends index set's grid components against
-    # those of every rewrite within a part there, and the letter-by-letter
-    # closure against csgraph over the table's edges of every rewrite of
-    # every window.  The c=4 relation and the part of all of S_3 give index
-    # sets with two gaps and five partners to one pattern.
+    # The digit-grid edges of every window against the rows of a
+    # permutation table rewritten there to or from the part's D pattern,
+    # each window's grid components against those of every rewrite within
+    # a part there, and the letter-by-letter closure against csgraph over
+    # the table's edges of every rewrite of every window.  At each index
+    # set through both ends, the node pairs of subword_edges, read from
+    # one row per value set and class of S_{n-c} outside it, are the tail
+    # nodes of the table's edges there, and close as the table's edges of
+    # every rewrite within a part do.  The c=4 relation and the part of all
+    # of S_3 give index sets with two gaps and five partners to one pattern.
     keys = ("{123,321}{132,231}", "{132,231}{213,312}", "{123,132,231}",
             "{1234,1243}{2134,2143}", "{123,132,213,231,312,321}")
     for key in keys:
         K = relation.parse_partition(key)
         tab = build_tables(K)
+        subword = list(engine.decompositions(range(1, 7), K, "subword"))
         for n in range(K.c, 8):
             total = factorial(n)
             windows = [list(range(i, i + K.c)) for i in range(n - K.c + 1)]
@@ -209,16 +213,22 @@ def test_backends_identical(knuth_like):
             first = _concat(kn._factor_batches(n, tab, ident, factorial(n - 1)))
             assert np.array_equal(_edge_set(*first),
                                   _edge_set(*_table_edges(n, K, windows[0], star=True)))
-            for idx in itertools.combinations(range(n), K.c):
-                expected = _edge_set(*_table_edges(n, K, list(idx), star=True))
-                got = _grid_edges(n, tab, idx)
-                assert np.array_equal(_edge_set(*got), expected)
-                through = idx[0] == 0 and idx[-1] == n - 1
-                if through:
-                    assert np.array_equal(_edge_set(*kn.subword_edges(n, tab, idx)), expected)
-                if through or idx[-1] - idx[0] == K.c - 1:
-                    clique = _csgraph_class_ids(total, *_table_edges(n, K, list(idx)))
-                    assert np.array_equal(_csgraph_class_ids(total, *got)[0], clique[0])
+            for i, idx in enumerate(windows):
+                got = _window_edges(n, tab, i)
+                clique = _csgraph_class_ids(total, *_table_edges(n, K, idx))
+                assert np.array_equal(_csgraph_class_ids(total, *got)[0], clique[0])
+            tails = subword[n - 2]  # S_{n-1}
+            outside = subword[n - K.c - 1].rep_ranks if n > K.c else np.zeros(1, np.int64)
+            rest = kn._rest_codes(n, K.c, outside)
+            nodes = n * tails.num_classes
+            for mid in itertools.combinations(range(1, n - 1), K.c - 2):
+                idx = (0, *mid, n - 1)
+                got = kn.subword_edges(n, tab, idx, rest, tails.class_id, tails.num_classes)
+                star = [_tail_nodes(e, tails) for e in _table_edges(n, K, list(idx), star=True)]
+                assert np.array_equal(_edge_set(*got), _edge_set(*star)), (key, idx)
+                clique = [_tail_nodes(e, tails) for e in _table_edges(n, K, list(idx))]
+                assert np.array_equal(_csgraph_class_ids(nodes, *got)[0],
+                                      _csgraph_class_ids(nodes, *clique)[0]), (key, idx)
             dec = engine.enumerate_classes(n, K)
             class_id, num = _csgraph_class_ids(total, src, dst)
             assert np.array_equal(dec.class_id, class_id), (key, n)
@@ -301,8 +311,9 @@ def _check_class_ids(n, tab, mode, key, step):
     if mode == "factor":
         batches = [_window_edges(n, tab, i) for i in range(n - tab.c + 1)]
     else:
+        K = relation.parse_partition(key)
         idxs = itertools.combinations(range(n), tab.c)
-        batches = [_grid_edges(n, tab, idx) for idx in idxs]
+        batches = [_table_edges(n, K, list(idx), star=True) for idx in idxs]
     expected, num = _csgraph_class_ids(factorial(n), *_concat(batches))
     assert tail.dtype == prev.dtype == np.int32 and sizes.dtype == reps.dtype == np.int64
     assert np.array_equal(class_id, expected), (key, n)
@@ -310,27 +321,49 @@ def _check_class_ids(n, tab, mode, key, step):
     assert np.array_equal(reps, np.unique(expected, return_index=True)[1]), (key, n)
 
 
-@pytest.mark.parametrize("key", ["{123,132,213,231}", "{123,321}{132,231}"])
+@pytest.mark.parametrize("key", [
+    "{123,132,213,231}", "{123,321}{132,231}", "{12,21}", "{123,132}", "{1234,4321}",
+    "{1234,1243}{2134,2143}",
+])
 def test_subword_class_ids_match_every_index_set_n8(key):
     # the join of head and tail classes and the index sets through both
-    # ends, against csgraph over all C(8, 3) index sets of S_8
+    # ends, each read from one row per class of the letters its rewrites
+    # leave alone, against csgraph over all C(n, c) index sets of S_n at
+    # every step: c = 2, 3, 4, few classes and many
     tab = build_tables(relation.parse_partition(key))
     for n, step in enumerate(kn.class_steps(8, tab, "subword"), 1):
-        if n == 8:
-            _check_class_ids(n, tab, "subword", key, step)
+        _check_class_ids(n, tab, "subword", key, step)
+    assert n == 8
 
 
-def test_head_last_recurrence_matches_unrank():
-    # head: rank of the first k-1 letters, standardized; last: the last
-    # letter, 0-based; built from S_1 one first digit at a time
-    head, last = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
-    for k in range(2, 9):
-        parts = [kn._head_last(k, d, head, last) for d in range(k)]
-        head, last = (np.concatenate(col) for col in zip(*parts))
-        table = _unrank_table(k)
-        assert head.dtype == np.int32 and last.dtype == np.int8
-        assert np.array_equal(last, table[:, -1] - 1), k
-        assert np.array_equal(head, _lehmer_ranks(table[:, :-1])), k
+def test_subword_rows_per_step_n9(monkeypatch):
+    # the rows each subword step builds: k * (k-1) * C_{k-2} join rows and,
+    # at each of the C(k-2, c-2) index sets through both ends, C(k, c) *
+    # C_{k-c} for each rewrite, where C_j counts the classes of S_j
+    built = []
+
+    def counted(name, build):
+        def wrapped(k, *args):
+            src, dst = build(k, *args)
+            built.append((k, name, len(src)))
+            return src, dst
+        return wrapped
+
+    for name in ("_join_edges", "subword_edges"):
+        monkeypatch.setattr(kn, name, counted(name, getattr(kn, name)))
+    for key in ("{123,132,213,231}", "{123,132}", "{1234,4321}", "{1234,1243}{2134,2143}"):
+        tab = build_tables(relation.parse_partition(key))
+        built.clear()
+        counts = [1] + [len(step[2]) for step in kn.class_steps(9, tab, "subword")]
+        rewrites = sum(len(us) for _, us in tab.partners)
+        for k in range(2, 10):
+            join = [rows for j, name, rows in built if (j, name) == (k, "_join_edges")]
+            ends = [rows for j, name, rows in built if (j, name) == (k, "subword_edges")]
+            assert join == [k * (k - 1) * counts[k - 2]], (key, k)
+            sets = comb(k - 2, tab.c - 2) if k >= tab.c else 0
+            assert ends == [comb(k, tab.c) * counts[k - tab.c] * rewrites] * sets, (key, k)
+        if key == "{123,132,213,231}":
+            assert sum(rows for j, _, rows in built if j == 9) == 504 + 10584
 
 
 @st.composite
@@ -887,23 +920,27 @@ print(peak_rss() - before)
 
 @pytest.mark.parametrize("n, mode, key", [
     (10, "factor", "{132,231}{213,312}"),
-    (8, "subword", "{123,132,213,231}"),
-    (8, "subword", "{123,321}{132,231}"),
+    (10, "subword", "{123,132,213,231}"),
+    (10, "subword", "{123,321}{132,231}"),
     (10, "factor", "{123,132,213,231,312,321}"),
-    (9, "subword", "{123,132,213,231,312,321}"),
+    (10, "subword", "{123,132,213,231,312,321}"),
+    (10, "subword", "{123,132}"),
     (9, "factor", "{1234,4321}"),
 ])
 def test_estimate_bytes_bounds_measured_growth(n, mode, key):
     # the peak-RSS growth of one enumeration in a fresh process, after a
     # warm n=5 run has paid for the imports, against the estimate over the
-    # classes of S_{n-1} that the closure checks before its last step
+    # class counts of S_1, ..., S_{n-1} that the closure checks before its
+    # last step.  Subword steps read rows off the classes, so they grow by
+    # only 0.2-0.8 MB at n=9; at n=10 the ids of S_9 are most of it
     src = os.path.dirname(os.path.dirname(permclass.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", _GROWTH, str(n), mode, key], env=env,
                          capture_output=True, text=True, check=True)
     growth = int(out.stdout)
     K = relation.parse_partition(key)
-    classes = engine.enumerate_classes(n - 1, K, mode).num_classes
+    decs = engine.decompositions(range(1, n), K, mode, allow_large=True)
+    classes = [dec.num_classes for dec in decs]
     assert growth <= engine.estimate_bytes(n, mode, K, classes) <= 4 * growth
 
 
