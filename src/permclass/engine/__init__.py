@@ -17,19 +17,20 @@ rewrite in S_{k-1}: every window but the first in factor mode, every
 index set without position 0 in subword mode.  A subword step also joins
 the classes of the first k-1 letters (the rewrites that leave the last
 letter alone), so only the index sets through both the first and the
-last position make edges.  Both modes read their edges from the
-Lehmer-digit grid: a rewrite changes only the digits from its first to
-its last rewritten position, so a local rule over those digits,
-broadcast over the others, gives every edge of a window or an index set
-(kernels_numpy.factor_edges, over the classes of S_{k-1}, and
-subword_edges).  Each step is closed one
-batch at a time by root hooking over one int32 root array, so no step
-holds more than one batch's edges: in factor mode the first window's
-local pairs read as rows of the class ids of S_{k-1}, the whole step
-within a fixed edge budget, else one first digit a batch; in subword
-mode one join slice or index set.  The class sizes come from the step's
-nodes, and each class's minimal rank from its root, its minimal node.
-``hit_any`` and the avoider counts read hits off the same digit grid.
+last position make edges.  Factor mode reads its edges from the
+Lehmer-digit grid: a rewrite changes only the digits of its window, so
+a local rule over those digits, broadcast over the others, gives every
+edge of a window (kernels_numpy.factor_edges, over the classes of
+S_{k-1}).  Subword mode reads the join and each index set through both
+ends from one row per class of the letters their rewrites leave alone,
+of S_{k-2} and S_{k-c} (kernels_numpy.subword_edges).  Each step is
+closed one batch at a time by root hooking over one int32 root array,
+so no step holds more than one batch's edges: in factor mode the first
+window's local pairs read as rows of the class ids of S_{k-1}, the whole
+step within a fixed edge budget, else one first digit a batch; in
+subword mode the join or one index set.  The class sizes come from the
+step's nodes, and each class's minimal rank from its root, its minimal
+node.  ``hit_any`` and the avoider counts read hits off the same digit grid.
 
 ``class_of`` finds one class by a BFS.  In factor mode the BFS is
 level-synchronous over Lehmer ranks: a rewrite at window i moves a rank
