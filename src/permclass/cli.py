@@ -80,11 +80,7 @@ def _cmd_count(args) -> int:
             args.output,
         )
     else:
-        sizes = dec.sizes_multiset()
-        hist = {}
-        for s in sizes:
-            hist[s] = hist.get(s, 0) + 1
-        summary = ", ".join(f"{v}x{k}" for k, v in sorted(hist.items()))
+        summary = ", ".join(f"{v}x{k}" for k, v in dec.size_counts())
         _emit(
             f"partition {K.text()} n={args.n} mode={args.mode}\n"
             f"num_classes={dec.num_classes} num_trivial={dec.num_trivial}\n"

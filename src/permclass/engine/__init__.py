@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
@@ -99,7 +99,7 @@ class ClassDecomposition:
     @cached_property
     def class_id(self) -> np.ndarray:
         """int32, length n!: the class index of every rank, built on first use."""
-        ids = self.tail.reshape(self.n, -1)[:, self.prev].ravel()
+        ids = self.tail.reshape(self.n, -1).take(self.prev, axis=1).ravel()
         ids.flags.writeable = False
         return ids
 
@@ -133,7 +133,11 @@ class ClassDecomposition:
         return [tuple(p) for p in kernels_numpy.unrank(self.member_ranks(cid), self.n).tolist()]
 
     def sizes_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(int(s) for s in self.class_sizes))
+        return tuple(sorted(self.class_sizes.tolist()))
+
+    def size_counts(self) -> list[tuple[int, int]]:
+        """(size, classes of that size) for each class size, smallest first."""
+        return sorted(Counter(self.class_sizes.tolist()).items())
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,12 +192,13 @@ def estimate_bytes(
 
     Subword mode (kernels_numpy.class_steps) holds either the gather of the
     int32 ids of S_{n-1}, a strided result and its contiguous copy, beside
-    the ids of S_{n-2}; or those ids, the nodes and one batch: the join,
-    n * (n-1) * C_{n-2} rows of 40 B (the node pair, the gathers it is made
-    from and the closure's copies), or an index set through both ends,
-    C(n, c) * C_{n-c} rows a pattern of 56 B (the shared code, one
-    pattern's ranks and nodes) and 40 B for each edge (the partner's
-    nodes, the pair and the closure's copies).  1 MiB more covers what the
+    the ids of S_{n-2}; or those ids, the nodes and one batch: the join, n
+    * (n-1) * C_{n-2} rows of 40 B (the node pair, the gathers it is made
+    from and the closure's copies), or an index set through both ends: its
+    table of 8 B entries, P * (c+1)^(n-c) over the P patterns and 1/(c+1)
+    of that for the one before, C(n, c) * C_{n-c} rows of 8 B (the shared
+    code) and 20 B a pattern (the ranks, their ids and nodes), and 40 B an
+    edge (the pair and the closure's copies).  1 MiB more covers what the
     interpreter and the allocator add over a step: 3.1 MB of arrays grow
     the peak by up to 3.4 MB at n=10 when few classes leave only the ids.
     """
@@ -204,8 +209,10 @@ def estimate_bytes(
     nodes = n * count[n - 1]
     if mode == "factor":
         return 40 * nodes + 4 * factorial(n - 1) + 24 * kernels_numpy.factor_step_edges(n, tab)[1]
-    rows = math.comb(n, tab.c) * count[n - tab.c] if tab.c <= n else 0
-    ends = rows * (56 + 40 * sum(len(us) for _, us in tab.partners))
+    rewrites = sum(len(us) for _, us in tab.partners)
+    pats, rows = rewrites + len(tab.partners), math.comb(n, tab.c) * count[max(n - tab.c, 0)]
+    table = 8 * pats * (tab.c + 2) * (tab.c + 1) ** max(n - tab.c - 1, 0) if rows else 0
+    ends = table + rows * (8 + 20 * pats + 40 * rewrites)
     held = 4 * factorial(n - 1) + 80 * nodes + max(40 * n * (n - 1) * count[max(n - 2, 0)], ends)
     return max(4 * factorial(max(n - 2, 0)) + 8 * factorial(n - 1), held) + (1 << 20)
 

@@ -27,24 +27,24 @@ the classes of the step before.  In subword mode a rewrite that leaves
 the last letter alone acts on the rank of the first letters only, so the
 step joins the two closures and adds only the index sets through both
 ends, each from one row per class of the letters its rewrites leave
-alone (``_join_edges``, ``subword_edges``).  ``connected_class_ids``
-closes a step's edges one batch at a time by root hooking and pointer
-jumping over one int32 root array, so no step holds more than one
-batch's edges; each class's root is its minimal node, a tail node, so
-its minimal rank is read off its root and its size off the step's nodes.
-A factor step's batch is the first window's local pairs
-(``factor_edges``), the whole step if it has at most _BATCH_EDGES edges,
-else one first digit at a time, mapped to nodes straight from rows of
-the class ids of the step before; a subword batch is the join or one
-index set.  So neither mode builds a k!-sized array.  The ids of S_k are
-left as the step's tail nodes and the ids of S_{k-1}, for the caller to
-gather if it needs them.
+alone (``_join_edges``, ``subword_edges``), ranked by terms per position
+computed once a step (``_rest_codes``).  ``connected_class_ids`` closes
+a step's edges one batch at a time by root hooking and pointer jumping
+over one int32 root array, so no step holds more than one batch's edges;
+each class's root is its minimal node, a tail node, so its minimal rank
+is read off its root and its size off the step's nodes.  A factor step's
+batch is the first window's local pairs (``factor_edges``), the whole
+step if it has at most _BATCH_EDGES edges, else one first digit at a
+time, mapped to nodes straight from rows of the class ids of the step
+before; a subword batch is the join or one index set.  So neither mode
+builds a k!-sized array.  The ids of S_k are left as the step's tail
+nodes and the ids of S_{k-1}, for the caller to gather if it needs them.
 
 The same local rules give one class without the others: ``factor_moves``
 turns every window's local pairs into rank deltas, and ``class_ranks``
 runs a BFS over ranks with them, a whole level at a time, deduplicating
 by sort (np.unique would import numpy.ma, 15 ms, into a one-query
-process); ``unrank`` reads the letters of many ranks at once.
+process); ``unrank`` reads the letters of many ranks, a row a position.
 """
 
 from __future__ import annotations
@@ -189,34 +189,42 @@ def _join_edges(k: int, cls: np.ndarray, num: int, reps: np.ndarray):
     return src.ravel(), dst.ravel()
 
 
-def _rest_codes(k: int, c: int, reps: np.ndarray):
-    """(sig, code) shared by the index sets through both ends of S_k: row j
-    of sig holds letter j of each class representative (minimal ranks
-    reps) of S_{k-c}, and code[v, s] reads, for each letter of
-    representative s placed over the letters outside the v-th value set of
-    c letters, how many of that set lie below it, in radix c + 1."""
-    sig = unrank(reps, k - c).T - 1
-    below = np.array([[y - t for t, y in enumerate(sorted(set(range(k)).difference(v)))]
-                      for v in itertools.combinations(range(k), c)], dtype=np.int64)
-    code = np.zeros((len(below), len(reps)), dtype=np.int64)
-    for x in sig:
-        code = code * (c + 1) + below[:, x]
-    return sig, code
-
-
-def _code_ranks(weight: list, cols, others: list, ranks: np.ndarray) -> np.ndarray:
-    """The inversions (digit weights weight) with an end at cols, the
-    letter at cols[i] of rank ranks[i] among them, over the code of
-    ``_rest_codes``: the letter at j in others with R letters of cols below
-    it lies below the one at cols[i] iff R <= ranks[i]."""
-    own = [weight[i] for i in cols]
-    table = np.full(1, _weighted_inversions(list(ranks), own), dtype=np.int64)
-    above = ranks[:, None] >= np.arange(len(cols) + 1)  # [i, R]
-    pos, own = np.array(cols)[:, None], np.array(own)[:, None]
-    for j in others:
-        term = np.where(pos < j, above * own, ~above * weight[j]).sum(axis=0)
-        table = (table[:, None] + term).ravel()
-    return table
+def _rest_codes(k: int, tab: PatternTables, reps: np.ndarray):
+    """(code, first, pairs, sets): what the index sets I through both ends
+    of S_k share, for all of them and every pattern, once a step.  A row
+    puts value set v at I as pattern p (first letter ``first[p, v]``) and
+    representative s of S_{k-c} (minimal ranks reps) over the other
+    positions, whose letters code[v, s] reads as R, the letters of v below
+    each, in radix c + 1.  Its rank less its first digit's part (digit
+    weights w) sums the inversions within I, a constant per (I, p); those
+    outside I, w[others] times the Lehmer digits of s (inner); and a term
+    of (I, t, p, R) a position t outside I: the letter of rank p_i in v at
+    position i of I lies above t's iff R <= p_i.  sets maps I to
+    (constant, terms, inner) over the patterns by id; pairs holds the
+    pattern rows of each rewrite's D and U pattern, in tab.partners order."""
+    c, m = tab.c, k - tab.c
+    w = np.array([0, *(factorial(k - 1 - j) for j in range(1, k))], dtype=np.int64)
+    ids = sorted({t for d, us in tab.partners for t in (d, *us)})
+    pairs = np.array([(ids.index(d), ids.index(u)) for d, us in tab.partners for u in us],
+                     dtype=np.intp).reshape(-1, 2).T
+    pats = window_letters(c, c)[:, ids].T  # [p, i]: the rank in v of the letter at i
+    ends = [(0, *mid, k - 1) for mid in itertools.combinations(range(1, k - 1), c - 2)]
+    at = np.array(ends, dtype=np.intp)
+    others = np.array([[j for j in range(k) if j not in e] for e in ends], dtype=np.intp)
+    above = np.arange(c + 1)[:, None] <= pats[:, None, :]  # [p, R, i]
+    i, j = at[:, None, None, None, :], others[:, :, None, None, None]
+    terms = np.where(i < j, above * w[i], ~above * w[j]).sum(axis=-1)  # [I, t, p, R]
+    const = (w[at][:, :, None] * _lehmer_digits(ids, c)).sum(axis=1)  # [I, p]
+    digits = _lehmer_digits(reps, m)
+    inner = (w[others][:, :, None] * digits).sum(axis=1)  # [I, s]
+    values = np.array(list(itertools.combinations(range(k), c)), dtype=np.int32)
+    below = ((values - np.arange(c))[:, :, None] <= np.arange(m)).sum(axis=1)  # [v, x]
+    code = np.zeros((len(values), len(reps)), dtype=np.int64)
+    for x in _lift(digits):  # letter t of every representative
+        code *= c + 1
+        code += below.take(x, axis=1)
+    first = values[:, pats[:, 0]].T
+    return code, first, pairs, dict(zip(ends, zip(const, terms, inner)))
 
 
 def subword_edges(k: int, tab: PatternTables, idx, rest, cls: np.ndarray, num: int):
@@ -226,24 +234,21 @@ def subword_edges(k: int, tab: PatternTables, idx, rest, cls: np.ndarray, num: i
     pattern, and class of S_{k-c} outside idx (rest: ``_rest_codes``).  A
     rewrite outside idx keeps the letters at idx and the tail nodes of a
     rank and of its image, so a class representative outside idx gives
-    every node pair.  A row's rank is the inversions outside idx plus
-    ``_code_ranks`` at its code; rank r has tail node ``(r // (k-1)!) *
-    num + cls[r % (k-1)!]``."""
-    weight = [factorial(k - 1 - j) for j in range(k)]
-    sig, code = rest
-    others = [j for j in range(k) if j not in idx]
-    inner = _weighted_inversions(sig, [weight[j] for j in others])
-    onel = window_letters(tab.c, tab.c)  # column t: the letters of pattern t
-
-    def nodes(p: int) -> np.ndarray:
-        ranks = _code_ranks(weight, idx, others, onel[:, p])[code] + inner
-        first, t = np.divmod(ranks, factorial(k - 1))
-        return (first * num + cls[t]).ravel()
-
-    pairs = [(a, nodes(u)) for d, us in tab.partners for a in [nodes(d)] for u in us]
-    none = np.empty(0, dtype=np.int64)
-    return (np.concatenate([none, *(a for a, _ in pairs)]),
-            np.concatenate([none, *(b for _, b in pairs)]))
+    every node pair.  A row of first letter d and tail rank t (rank less
+    ``d * (k-1)!``) has tail node ``d * num + cls[t]``; t is read off one
+    table over the codes, a broadcast add of terms a position, plus inner."""
+    code, first, (src, dst), sets = rest
+    const, terms, inner = sets[idx]
+    table = const[:, None]
+    for term in terms[::-1]:  # the code's last digit first, so the adds run along the table
+        table = (term[:, :, None] + table[:, None, :]).reshape(len(table), -1)
+    ranks = np.empty((len(table), *code.shape), dtype=np.int64)
+    for row, out in zip(table, ranks):
+        row.take(code, out=out, mode="clip")  # all in range; "raise" would buffer out
+    ranks += inner
+    nodes = cls.take(ranks)
+    nodes += (first * num)[:, :, None]
+    return nodes[src].ravel(), nodes[dst].ravel()
 
 
 # Most window-0 edges a factor step closes in one batch.  A step within it
@@ -338,10 +343,10 @@ def _batches(k, tab, mode, cls, num, kept) -> Iterator:
             yield from _factor_batches(k, tab, cls, num)
         return
     yield _join_edges(k, cls, num, kept[-2])
-    if 2 <= tab.c <= k:
-        rest = _rest_codes(k, tab.c, kept[-tab.c])
-        for mid in itertools.combinations(range(1, k - 1), tab.c - 2):
-            yield subword_edges(k, tab, (0, *mid, k - 1), rest, cls, num)
+    if 2 <= tab.c <= k and tab.partners:
+        rest = _rest_codes(k, tab, kept[-tab.c])
+        for idx in rest[-1]:
+            yield subword_edges(k, tab, idx, rest, cls, num)
 
 
 def _first_window(k: int, tab: PatternTables):
@@ -480,20 +485,31 @@ def _isin_sorted(x: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     return sorted_arr.searchsorted(x, "right") > sorted_arr.searchsorted(x)
 
 
-def unrank(ranks: np.ndarray, n: int) -> np.ndarray:
-    """(len(ranks), n) int8: the 1-based letters of each rank of S_n, as
-    perms.unrank gives them.  The Lehmer digits come off in n divmod
-    passes from the last (radix 1) to the first (radix n); then, from the
-    right, each digit lifts the later letters at or above it by one."""
+def _lehmer_digits(ranks, n: int) -> np.ndarray:
+    """(n, len(ranks)) int8, row j: Lehmer digit j of each rank of S_n,
+    taken off in n divmod passes from the last (radix 1) to the first."""
     q = np.asarray(ranks, dtype=np.int64)
-    letters = np.empty((len(q), n), dtype=np.int8)
+    digits = np.empty((n, len(q)), dtype=np.int8)
     for j in range(n - 1, -1, -1):
-        q, letters[:, j] = np.divmod(q, n - j)
-    for j in range(n - 2, -1, -1):
-        later = letters[:, j + 1 :]
-        later += later >= letters[:, j : j + 1]
+        q, digits[j] = np.divmod(q, n - j)
+    return digits
+
+
+def _lift(digits: np.ndarray) -> np.ndarray:
+    """Lehmer digit rows to 0-based letter rows, in place: from the right,
+    each digit lifts the later letters at or above it by one."""
+    for j in range(len(digits) - 2, -1, -1):
+        later = digits[j + 1 :]
+        later += later >= digits[j]
+    return digits
+
+
+def unrank(ranks, n: int) -> np.ndarray:
+    """(len(ranks), n) int8: the 1-based letters of each rank of S_n, as
+    perms.unrank gives them: the transpose of ``_lift``'s position rows."""
+    letters = _lift(_lehmer_digits(ranks, n))
     letters += 1
-    return letters
+    return letters.T
 
 
 def window_hits(n: int, c: int, mask: np.ndarray, windows: Iterable[int]) -> np.ndarray:

@@ -444,6 +444,23 @@ def test_non_finite_memory_cap_exits_2(capsys, monkeypatch, cap):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["factor", "subword"])
+def test_count_size_histogram_matches_python(capsys, mode):
+    # the text summary's "class sizes" line and sizes_multiset against a
+    # histogram counted in Python, for every registry row at n <= 8
+    for key in oracle.ROWS_BY_KEY:
+        K = relation.parse_partition(key)
+        for n, dec in enumerate(engine.decompositions(range(1, 9), K, mode), 1):
+            sizes = sorted(int(s) for s in dec.class_sizes)
+            assert dec.sizes_multiset() == tuple(sizes)
+            hist = {}
+            for size in sizes:
+                hist[size] = hist.get(size, 0) + 1
+            summary = ", ".join(f"{v}x{k}" for k, v in sorted(hist.items()))
+            code, out, _ = run(capsys, "count", "--partition", key, "--n", str(n), "--mode", mode)
+            assert code == 0 and out.endswith(f"\nclass sizes: {summary}\n"), (key, n)
+
+
 _NO_SCIPY = """
 import sys
 from permclass import cli

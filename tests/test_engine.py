@@ -219,7 +219,7 @@ def test_backends_identical(knuth_like):
                 assert np.array_equal(_csgraph_class_ids(total, *got)[0], clique[0])
             tails = subword[n - 2]  # S_{n-1}
             outside = subword[n - K.c - 1].rep_ranks if n > K.c else np.zeros(1, np.int64)
-            rest = kn._rest_codes(n, K.c, outside)
+            rest = kn._rest_codes(n, tab, outside)
             nodes = n * tails.num_classes
             for mid in itertools.combinations(range(1, n - 1), K.c - 2):
                 idx = (0, *mid, n - 1)
@@ -364,6 +364,44 @@ def test_subword_rows_per_step_n9(monkeypatch):
             assert ends == [comb(k, tab.c) * counts[k - tab.c] * rewrites] * sets, (key, k)
         if key == "{123,132,213,231}":
             assert sum(rows for j, _, rows in built if j == 9) == 504 + 10584
+
+
+@pytest.mark.parametrize("key", [
+    *oracle.ROWS_BY_KEY, "{12,21}", "{123,132}", "{1234,4321}", "{1234,1243}{2134,2143}",
+])
+def test_subword_row_ranks_match_python_rows(key):
+    # every row of every index set through both ends, at every subword
+    # step to n=8, built letter by letter in Python: the value set v at
+    # the index set as a rewrite's D pattern (src) and as its partner
+    # (dst), and a class representative of S_{n-c} over the other letters,
+    # rewrite by rewrite, then v, then class; rank r has tail node
+    # (r // (n-1)!) * C + ids[r % (n-1)!] over the C classes of S_{n-1}
+    K = relation.parse_partition(key)
+    tab = build_tables(K)
+    decs = list(engine.decompositions(range(1, 8), K, "subword"))
+    for n in range(max(K.c, 2), 9):
+        tails = decs[n - 2]
+        ids, block = tails.class_id.tolist(), factorial(n - 1)
+        outside = decs[n - K.c - 1].rep_ranks if n > K.c else np.zeros(1, np.int64)
+        reps = [perms.unrank(int(r), n - K.c) for r in outside]
+        rest = kn._rest_codes(n, tab, outside)
+        for mid in itertools.combinations(range(1, n - 1), K.c - 2):
+            idx = (0, *mid, n - 1)
+            others = [j for j in range(n) if j not in idx]
+            expected = ([], [])
+            for d, us in tab.partners:
+                for u, v in itertools.product(us, itertools.combinations(range(1, n + 1), K.c)):
+                    rest_letters = [x for x in range(1, n + 1) if x not in v]
+                    for rep, (side, pid) in itertools.product(reps, ((0, d), (1, u))):
+                        perm = [0] * n
+                        for i, letter in zip(idx, perms.unrank(pid, K.c)):
+                            perm[i] = v[letter - 1]
+                        for j, letter in zip(others, rep):
+                            perm[j] = rest_letters[letter - 1]
+                        r = perms.rank(perm)
+                        expected[side].append(r // block * tails.num_classes + ids[r % block])
+            got = kn.subword_edges(n, tab, idx, rest, tails.class_id, tails.num_classes)
+            assert [a.tolist() for a in got] == list(expected), (key, n, idx)
 
 
 @st.composite
