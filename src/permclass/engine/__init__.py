@@ -191,16 +191,16 @@ def estimate_bytes(
     its root images and the closure's filtered copies.
 
     Subword mode (kernels_numpy.class_steps) holds either the gather of the
-    int32 ids of S_{n-1}, a strided result and its contiguous copy, beside
-    the ids of S_{n-2}; or those ids, the nodes and one batch: the join, n
-    * (n-1) * C_{n-2} rows of 40 B (the node pair, the gathers it is made
-    from and the closure's copies), or an index set through both ends: its
-    table of 8 B entries, P * (c+1)^(n-c) over the P patterns and 1/(c+1)
-    of that for the one before, C(n, c) * C_{n-c} rows of 8 B (the shared
-    code) and 20 B a pattern (the ranks, their ids and nodes), and 40 B an
-    edge (the pair and the closure's copies).  1 MiB more covers what the
-    interpreter and the allocator add over a step: 3.1 MB of arrays grow
-    the peak by up to 3.4 MB at n=10 when few classes leave only the ids.
+    int32 ids of S_{n-1} beside the ids of S_{n-2}; or those ids, the nodes
+    and one batch: the join, n * (n-1) * C_{n-2} rows of 40 B (the node
+    pair, the gathers it is made from and the closure's copies), or an
+    index set through both ends: its table of 8 B entries, P * (c+1)^(n-c)
+    over the P patterns and 1/(c+1) of that for the one before, C(n, c) *
+    C_{n-c} rows of 8 B (the shared code) and 20 B a pattern (the ranks,
+    their ids and nodes), and 40 B an edge (the pair and the closure's
+    copies).  1 MiB more covers what the interpreter and the allocator add
+    over a step: 2.0 MB of arrays grow the peak by 1.5-1.8 MB at n=10 when
+    few classes leave only the ids.
     """
     if partition is None:
         partition = relation.make_partition([list(perms.all_perms(3))])
@@ -214,7 +214,7 @@ def estimate_bytes(
     table = 8 * pats * (tab.c + 2) * (tab.c + 1) ** max(n - tab.c - 1, 0) if rows else 0
     ends = table + rows * (8 + 20 * pats + 40 * rewrites)
     held = 4 * factorial(n - 1) + 80 * nodes + max(40 * n * (n - 1) * count[max(n - 2, 0)], ends)
-    return max(4 * factorial(max(n - 2, 0)) + 8 * factorial(n - 1), held) + (1 << 20)
+    return max(4 * factorial(max(n - 2, 0)) + 4 * factorial(n - 1), held) + (1 << 20)
 
 
 def _limits(n: int, mode: Mode, partition: ReplacementPartition, allow_large: bool) -> list:

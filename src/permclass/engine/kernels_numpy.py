@@ -307,7 +307,7 @@ def class_steps(
     yield tail, prev, sizes, reps
     for k in range(2, n + 1):
         num = len(sizes)
-        prev = tail.reshape(k - 1, -1)[:, prev].ravel()
+        prev = tail.reshape(k - 1, -1).take(prev, axis=1).ravel()
         total = (k if mode == "factor" else 2 * k) * num
         batches = _batches(k, tab, mode, prev, num, kept)
         comp, _, roots = connected_class_ids(total, batches)
